@@ -42,12 +42,12 @@ bench-diff:
 
 # bench-gate re-runs the Fig. 5 sweep benchmarks, the Fig. 7 solver bench
 # (which has a fixed branch-&-bound node budget, so its ns/op tracks solver
-# throughput), the hot-path allocation benches (core.PM and warm
-# Context.Build), the million-flow scale bench, the plan-store benches, the
-# hierarchical-planning benches (the 1000-node sweep, whose multi-second
-# iterations are robust by construction, and the min-ns-contention-robust
-# partitioner), and the delta-sweep engine bench (min-ns robust, with the
-# scratch engine measured alongside as scratch-ns), and fails if any of them
+# throughput), the hot-path allocation benches (core.PM and Context.Build
+# rotating over every 2-controller ATT case), the million-flow scale bench,
+# the plan-store benches, the hierarchical-planning benches (the 1000-node
+# sweep, whose multi-second iterations are robust by construction, and the
+# min-ns-contention-robust partitioner), and the delta-sweep engine bench
+# (min-ns robust), and fails if any of them
 # regressed by more than 20% ns/op — or 10% allocs/op — against the newest
 # committed BENCH_<n>.json baseline. CI runs this on every change.
 GATE_BENCHES = BenchmarkFig5|BenchmarkFig7ComputationTime|BenchmarkAlgorithmPM$$|BenchmarkScenarioContextBuild$$|BenchmarkMillionFlow$$|BenchmarkPlanStoreLookup$$|BenchmarkPlanStoreCompile$$|BenchmarkHierarchical1000$$|BenchmarkRegionPartition$$|BenchmarkSweepDelta$$

@@ -7,8 +7,7 @@
 // Usage:
 //
 //	pmsim [-scenario 1|2|3|all] [-skip-optimal] [-opt-time 60s] [-opt-workers n]
-//	      [-lambda 0.001] [-workers n] [-sweep-mode delta|scratch]
-//	      [-regions k] [-improve-rounds n]
+//	      [-lambda 0.001] [-workers n] [-regions k] [-improve-rounds n]
 //	      [-cpuprofile f] [-memprofile f]
 //
 // With -scale n it instead runs a synthetic-deployment smoke at n switches:
@@ -63,7 +62,6 @@ type config struct {
 	slack       int
 	csvDir      string
 	workers     int
-	sweepMode   eval.SweepMode
 }
 
 func run(args []string, out io.Writer) (err error) {
@@ -76,7 +74,6 @@ func run(args []string, out io.Writer) (err error) {
 	slack := fs.Int("slack", 0, "path-count hop slack (0 = default)")
 	csvDir := fs.String("csv", "", "also write each figure panel as CSV into this directory")
 	workers := fs.Int("workers", 0, "concurrent failure cases per sweep (0 = one per CPU, 1 = sequential)")
-	sweepMode := fs.String("sweep-mode", "delta", "sweep case compilation: delta (incremental Gray chains) or scratch (per-case rebuild)")
 	scale := fs.Int("scale", 0, "run a synthetic scale smoke at this many switches instead of the paper figures")
 	regions := fs.Int("regions", 0, "shard the WAN into this many regions and solve hierarchically (0 = flat)")
 	improveRounds := fs.Int("improve-rounds", 0, "anytime improver rounds after the hierarchical solve (0 = off)")
@@ -103,9 +100,6 @@ func run(args []string, out io.Writer) (err error) {
 		slack:       *slack,
 		csvDir:      *csvDir,
 		workers:     *workers,
-	}
-	if cfg.sweepMode, err = eval.ParseSweepMode(*sweepMode); err != nil {
-		return err
 	}
 	if *scale > 0 {
 		return runScale(out, *scale, *regions, *improveRounds, *dryRun)
@@ -147,7 +141,7 @@ func run(args []string, out io.Writer) (err error) {
 		algs = append(algs, eval.HierPM(part, region.SolveOptions{ImproveRounds: *improveRounds}))
 	}
 	for _, k := range cfg.scenarios {
-		cases, err := eval.SweepOpts(dep, flows, k, algs, eval.Options{Workers: cfg.workers, Mode: cfg.sweepMode, Context: sctx})
+		cases, err := eval.SweepOpts(dep, flows, k, algs, eval.Options{Workers: cfg.workers, Context: sctx})
 		if err != nil {
 			return err
 		}

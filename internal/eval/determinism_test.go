@@ -7,83 +7,106 @@ import (
 	"pmedic/internal/scenario"
 )
 
+// referenceInstances compiles every case sequentially, each with a fresh
+// DeltaState — a full gather per case, so no result depends on the case
+// before it. It is the reference the chained, parallel engine is held to.
+func referenceInstances(t *testing.T, ctx *scenario.Context, combos [][]int) []*scenario.Instance {
+	t.Helper()
+	out := make([]*scenario.Instance, len(combos))
+	for i, set := range combos {
+		inst, err := ctx.BuildDeltaCase(set, new(scenario.DeltaState))
+		if err != nil {
+			t.Fatalf("reference case %v: %v", set, err)
+		}
+		out[i] = inst
+	}
+	return out
+}
+
 // TestSweepDeterminism is the sweep engine's acceptance gate: a sweep must
 // produce the same CaseResult slice — same case order, same instances, same
-// reports, same cached statistics — no matter how many workers run it and no
-// matter whether cases compile from scratch or incrementally along Gray
-// chains (delta ≡ scratch at every worker count), and repeated parallel runs
-// must agree with each other. Only the wall-clock Runtime fields are exempt,
-// and they are zeroed before comparing.
+// reports, same cached statistics — as a sequential evaluation of
+// independently compiled cases, no matter how many workers run it and how
+// its Gray chains are cut, and repeated parallel runs must agree with each
+// other. Only the wall-clock Runtime fields are exempt, and they are zeroed
+// before comparing.
 func TestSweepDeterminism(t *testing.T) {
 	dep, flows := fixtures(t)
-	run := func(workers int, mode SweepMode) []*CaseResult {
-		t.Helper()
-		cases, err := SweepOpts(dep, flows, 2, heuristics(), Options{Workers: workers, Mode: mode})
-		if err != nil {
-			t.Fatalf("Workers=%d Mode=%d: %v", workers, mode, err)
-		}
+	zeroRuntimes := func(cases []*CaseResult) {
 		for _, c := range cases {
 			for _, rep := range c.Reports {
 				rep.Runtime = 0
 			}
 		}
+	}
+	run := func(workers int) []*CaseResult {
+		t.Helper()
+		cases, err := SweepOpts(dep, flows, 2, heuristics(), Options{Workers: workers})
+		if err != nil {
+			t.Fatalf("Workers=%d: %v", workers, err)
+		}
+		zeroRuntimes(cases)
 		return cases
 	}
 
-	reference := run(1, SweepScratch)
+	ctx, err := scenario.NewContext(dep, flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	combos := scenario.Combinations(len(dep.Controllers), 2)
+	reference := make([]*CaseResult, len(combos))
+	for i, inst := range referenceInstances(t, ctx, combos) {
+		if reference[i], err = evalCase(inst, combos[i], heuristics()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	zeroRuntimes(reference)
 	if len(reference) != 15 {
 		t.Fatalf("2-failure sweep produced %d cases, want 15", len(reference))
 	}
-	for _, mode := range []SweepMode{SweepScratch, SweepDelta} {
-		for _, workers := range []int{1, 3, 8} {
-			got := run(workers, mode)
-			for i := range reference {
-				if !reflect.DeepEqual(reference[i], got[i]) {
-					t.Errorf("case %d (%s): Workers=%d Mode=%d differs from sequential scratch",
-						i, reference[i].Label, workers, mode)
-				}
+	for _, workers := range []int{1, 3, 8} {
+		got := run(workers)
+		for i := range reference {
+			if !reflect.DeepEqual(reference[i], got[i]) {
+				t.Errorf("case %d (%s): Workers=%d differs from the sequential reference",
+					i, reference[i].Label, workers)
 			}
 		}
 	}
-	again := run(8, SweepDelta)
-	delta := run(8, SweepDelta)
+	again := run(8)
+	delta := run(8)
 	for i := range delta {
 		if !reflect.DeepEqual(delta[i], again[i]) {
-			t.Errorf("case %d (%s): two Workers=8 delta runs differ", i, delta[i].Label)
+			t.Errorf("case %d (%s): two Workers=8 runs differ", i, delta[i].Label)
 		}
 	}
 }
 
-// TestForEachCaseModeEquivalence compares the instances themselves (not just
-// the evaluated reports) between the delta and scratch engines, over the
-// mixed-size case enumeration the plan-store compiler uses, at several
-// worker counts. This is the delta ≡ scratch equivalence gate CI runs under
-// -race before the bench gate.
-func TestForEachCaseModeEquivalence(t *testing.T) {
+// TestForEachCaseEquivalence compares the instances themselves (not just
+// the evaluated reports) between the chained delta engine and independently
+// compiled cases, over the mixed-size case enumeration the plan-store
+// compiler uses, at several worker counts. CI runs it under -race before the
+// bench gate.
+func TestForEachCaseEquivalence(t *testing.T) {
 	dep, flows := fixtures(t)
 	ctx, err := scenario.NewContext(dep, flows)
 	if err != nil {
 		t.Fatal(err)
 	}
 	combos := scenario.CombinationsUpTo(len(dep.Controllers), 3)
-	collect := func(workers int, mode SweepMode) []*scenario.Instance {
-		t.Helper()
-		out := make([]*scenario.Instance, len(combos))
-		err := ForEachCaseMode(ctx, combos, workers, mode, func(idx int, inst *scenario.Instance) error {
-			out[idx] = inst
+	want := referenceInstances(t, ctx, combos)
+	for _, workers := range []int{1, 2, 8} {
+		got := make([]*scenario.Instance, len(combos))
+		err := ForEachCase(ctx, combos, workers, func(idx int, inst *scenario.Instance) error {
+			got[idx] = inst
 			return nil
 		})
 		if err != nil {
-			t.Fatalf("Workers=%d Mode=%d: %v", workers, mode, err)
+			t.Fatalf("Workers=%d: %v", workers, err)
 		}
-		return out
-	}
-	want := collect(1, SweepScratch)
-	for _, workers := range []int{1, 2, 8} {
-		got := collect(workers, SweepDelta)
 		for i := range want {
 			if !reflect.DeepEqual(want[i], got[i]) {
-				t.Errorf("case %v: delta instance (Workers=%d) differs from scratch", combos[i], workers)
+				t.Errorf("case %v: engine instance (Workers=%d) differs from the reference", combos[i], workers)
 			}
 		}
 	}

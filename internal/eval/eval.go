@@ -65,61 +65,16 @@ func (c *CaseResult) Report(name string) *core.Report {
 	return c.Reports[name]
 }
 
-// SweepMode selects the sweep engine's case-compilation strategy.
-type SweepMode int
-
-const (
-	// SweepDelta — the default — compiles cases incrementally: the engine
-	// re-sequences each complete C(m, k) block into revolving-door Gray
-	// order (combos.go), partitions it into per-worker chains, and patches
-	// each case out of its chain predecessor via
-	// scenario.Context.BuildDeltaCase while the previous case is still
-	// being solved (the compile and solve stages of a chain are pipelined).
-	// Output is byte-identical to SweepScratch at any worker count.
-	SweepDelta SweepMode = iota
-	// SweepScratch compiles every case independently with
-	// scenario.Context.Build over a plain worker pool — the pre-delta
-	// reference engine, kept as the escape hatch (`pmsim -sweep-mode
-	// scratch`) and as the baseline the delta≡scratch equivalence tests
-	// and BenchmarkSweepDelta compare against.
-	SweepScratch
-)
-
-// String names the mode the way the -sweep-mode flags spell it.
-func (m SweepMode) String() string {
-	if m == SweepScratch {
-		return "scratch"
-	}
-	return "delta"
-}
-
-// ParseSweepMode parses a -sweep-mode flag value ("delta" or "scratch").
-func ParseSweepMode(s string) (SweepMode, error) {
-	switch s {
-	case "delta":
-		return SweepDelta, nil
-	case "scratch":
-		return SweepScratch, nil
-	default:
-		return SweepDelta, fmt.Errorf("eval: unknown sweep mode %q (want delta or scratch)", s)
-	}
-}
-
 // Options tunes Sweep's evaluation engine. The zero value selects the
-// defaults: one worker per available CPU, delta-mode case compilation, and a
-// fresh scenario context.
+// defaults: one worker per available CPU and a fresh scenario context.
 type Options struct {
 	// Workers bounds the number of failure cases evaluated concurrently.
 	// 0 selects runtime.GOMAXPROCS(0); 1 forces a single chain, on which
-	// cases solve strictly in compile order (in delta mode the next case's
-	// compilation still overlaps the current solve). Whatever the worker
-	// count, the returned slice is in exact lexicographic case order and
-	// its contents are identical (up to wall-clock Runtime fields) to a
-	// sequential run.
+	// cases solve strictly in compile order (the next case's compilation
+	// still overlaps the current solve). Whatever the worker count, the
+	// returned slice is in exact lexicographic case order and its contents
+	// are identical (up to wall-clock Runtime fields) to a sequential run.
 	Workers int
-	// Mode selects delta (default) or scratch case compilation; results
-	// are byte-identical either way.
-	Mode SweepMode
 	// Context, when non-nil, supplies the precomputed failure-independent
 	// scenario state; nil builds one for the sweep. Share one Context across
 	// repeated sweeps over the same deployment and workload.
@@ -147,7 +102,7 @@ func SweepOpts(dep *topo.Deployment, flows *flow.Set, k int, algs []Algorithm, o
 	}
 	combos := scenario.Combinations(len(dep.Controllers), k)
 	results := make([]*CaseResult, len(combos))
-	err := ForEachCaseMode(ctx, combos, opts.Workers, opts.Mode, func(idx int, inst *scenario.Instance) error {
+	err := ForEachCase(ctx, combos, opts.Workers, func(idx int, inst *scenario.Instance) error {
 		cr, err := evalCase(inst, combos[idx], algs)
 		if err != nil {
 			return err
@@ -159,38 +114,6 @@ func SweepOpts(dep *topo.Deployment, flows *flow.Set, k int, algs []Algorithm, o
 		return nil, err
 	}
 	return results, nil
-}
-
-// ForEachCase compiles every failure combination off the shared context and
-// calls fn with the compiled instance, using the default delta engine
-// (ForEachCaseMode with SweepDelta). fn runs concurrently for distinct
-// indices and must only touch state it owns (writing to its own slot of a
-// results slice is the intended pattern). Errors are deterministic
-// regardless of scheduling: the failing case with the lowest index wins.
-// workers <= 0 selects one worker per available CPU. The plan-store
-// compiler and the sweep harness share this engine.
-func ForEachCase(ctx *scenario.Context, combos [][]int, workers int, fn func(idx int, inst *scenario.Instance) error) error {
-	return ForEachCaseMode(ctx, combos, workers, SweepDelta, fn)
-}
-
-// ForEachCaseMode is ForEachCase with an explicit compilation mode. Both
-// modes call fn with instances that are byte-identical to
-// scenario.Context.Build's, under the case's original index, so results are
-// independent of mode and worker count.
-func ForEachCaseMode(ctx *scenario.Context, combos [][]int, workers int, mode SweepMode, fn func(idx int, inst *scenario.Instance) error) error {
-	if len(combos) == 0 {
-		return nil
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(combos) {
-		workers = len(combos)
-	}
-	if mode == SweepScratch {
-		return forEachCaseScratch(ctx, combos, workers, fn)
-	}
-	return forEachCaseDelta(ctx, combos, workers, fn)
 }
 
 // caseErrTracker implements the engine's deterministic error contract: among
@@ -212,52 +135,6 @@ func (tr *caseErrTracker) record(idx int, err error) {
 	tr.failed.Store(true)
 }
 
-// forEachCaseScratch is the pre-delta reference engine: a plain worker pool
-// where each worker compiles its case from scratch and solves it.
-func forEachCaseScratch(ctx *scenario.Context, combos [][]int, workers int, fn func(idx int, inst *scenario.Instance) error) error {
-	run := func(idx int) error {
-		inst, err := ctx.Build(combos[idx])
-		if err != nil {
-			return fmt.Errorf("eval: case %v: %w", combos[idx], err)
-		}
-		return fn(idx, inst)
-	}
-	if workers <= 1 {
-		for idx := range combos {
-			if err := run(idx); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	var (
-		wg sync.WaitGroup
-		tr caseErrTracker
-	)
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				if tr.failed.Load() {
-					continue
-				}
-				if err := run(idx); err != nil {
-					tr.record(idx, err)
-				}
-			}
-		}()
-	}
-	for idx := range combos {
-		jobs <- idx
-	}
-	close(jobs)
-	wg.Wait()
-	return tr.firstErr
-}
-
 // deltaStatePool recycles chain compilation state across sweeps; repeated
 // sweeps over the same context reuse the arenas (and even warm-start their
 // first diff from wherever the previous chain left off).
@@ -269,16 +146,34 @@ type compiledCase struct {
 	inst *scenario.Instance
 }
 
-// forEachCaseDelta is the pipelined two-stage delta engine. The case list is
+// ForEachCase compiles every failure combination off the shared context and
+// calls fn with the compiled instance. fn runs concurrently for distinct
+// indices and must only touch state it owns (writing to its own slot of a
+// results slice is the intended pattern). Errors are deterministic
+// regardless of scheduling: the failing case with the lowest index wins.
+// workers <= 0 selects one worker per available CPU. The plan-store
+// compiler and the sweep harness share this engine.
+//
+// The engine is a pipelined two-stage delta sweep. The case list is
 // re-sequenced into revolving-door compile order (compileOrder), statically
 // partitioned into `workers` contiguous chains — a deterministic split, so
 // which cases share a delta chain never depends on scheduling — and each
 // chain runs two goroutines: a compiler that patches case i+1 out of case i
 // via scenario.Context.BuildDeltaCase, and a solver draining a buffered
 // channel, so compilation of the next case overlaps the solve of the
-// current one. fn still receives each case's original index; the Gray
-// ordering is invisible in the results.
-func forEachCaseDelta(ctx *scenario.Context, combos [][]int, workers int, fn func(idx int, inst *scenario.Instance) error) error {
+// current one. fn still receives each case's original index and an
+// instance byte-identical to scenario.Context.Build's; neither the Gray
+// ordering nor the worker count is visible in the results.
+func ForEachCase(ctx *scenario.Context, combos [][]int, workers int, fn func(idx int, inst *scenario.Instance) error) error {
+	if len(combos) == 0 {
+		return nil
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > len(combos) {
+		workers = len(combos)
+	}
 	order := compileOrder(len(ctx.Dep.Controllers), combos)
 
 	var (

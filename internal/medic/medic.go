@@ -333,11 +333,17 @@ func (m *Medic) run() {
 }
 
 // apply folds one detector event into the failure set and advances the
-// epoch.
+// epoch. The event is journaled and logged before the new epoch becomes
+// visible, and the epoch, the failure set and the unconverged mark change
+// under one lock, so Status never pairs the new epoch with an empty event
+// log or with the previous failure set's plan. Only the loop goroutine
+// advances the epoch, so reading it ahead of the lock is safe.
 func (m *Medic) apply(ev monitor.Event) {
+	epoch := m.Epoch() + 1
+	m.persistDetect(epoch, ev)
+	m.log.addf(KindDetect, "epoch %d: %s", epoch, ev)
 	m.mu.Lock()
-	m.epoch++
-	epoch := m.epoch
+	m.epoch = epoch
 	for _, j := range ev.Failed {
 		m.failed[j] = true
 	}
@@ -347,10 +353,9 @@ func (m *Medic) apply(ev monitor.Event) {
 			m.pendingRecovered = append(m.pendingRecovered, j)
 		}
 	}
+	m.snap.Converged = false
 	m.mu.Unlock()
 	m.metrics.addEpoch()
-	m.persistDetect(epoch, ev)
-	m.log.addf(KindDetect, "epoch %d: %s", epoch, ev)
 }
 
 // stalePlan reports whether newer detector events are already queued — the
@@ -399,14 +404,16 @@ func (m *Medic) reconcile() {
 		m.restoreDomain(epoch, j)
 	}
 
+	// A converged outcome is logged before it is published, so a Status
+	// that shows it also shows its log entry.
 	if len(failed) == 0 {
+		if len(recovered) > 0 {
+			m.log.addf(KindFailback, "epoch %d: all controllers back, ideal mapping restored", epoch)
+		}
 		m.mu.Lock()
 		m.unreachable = make(map[topo.NodeID]bool)
 		m.snap = snapshot{Converged: true, Ideal: true, Restores: m.snap.Restores, UpdatedAt: time.Now()}
 		m.mu.Unlock()
-		if len(recovered) > 0 {
-			m.log.addf(KindFailback, "epoch %d: all controllers back, ideal mapping restored", epoch)
-		}
 		return
 	}
 
@@ -468,13 +475,13 @@ func (m *Medic) reconcile() {
 		}
 	}
 
+	m.log.addf(KindConverged, "epoch %d: converged on %s: r=%d total=%d recovered=%d/%d",
+		epoch, inst.Label(), rep.Achieved.MinProg, rep.Achieved.TotalProg,
+		rep.Achieved.RecoveredFlows, inst.OfflineFlowCount())
 	m.mu.Lock()
 	restores := m.snap.Restores
 	m.snap = achievedSnapshot(inst, rep, restores)
 	m.mu.Unlock()
-	m.log.addf(KindConverged, "epoch %d: converged on %s: r=%d total=%d recovered=%d/%d",
-		epoch, inst.Label(), rep.Achieved.MinProg, rep.Achieved.TotalProg,
-		rep.Achieved.RecoveredFlows, inst.OfflineFlowCount())
 }
 
 // achievedSnapshot flattens a pushed plan into the serializable reconciled

@@ -3,8 +3,6 @@ package scenario
 import (
 	"fmt"
 	"math"
-	"slices"
-	"sort"
 	"sync"
 
 	"pmedic/internal/core"
@@ -89,151 +87,33 @@ func (ctx *Context) MiddleSite() topo.NodeID { return ctx.middleSite }
 // DelayMs returns the shortest-path control delay from a to b in ms.
 func (ctx *Context) DelayMs(a, b topo.NodeID) float64 { return ctx.dist[a][b] }
 
-// buildScratch holds Context.Build's per-case working memory. Instances are
-// recycled through buildPool: the Context is shared by concurrent sweep
-// workers, so the scratch cannot live on the Context itself, and the pool
-// keeps each worker's steady-state case compilation free of the per-case
-// slice/map churn that used to dominate sweep allocation profiles.
-type buildScratch struct {
-	isFailed    []bool
-	switchIndex []int
-	rawFlows    []int32
-	pairs       []core.Pair
-	start       []int
-}
-
-var buildPool = sync.Pool{New: func() any { return new(buildScratch) }}
+// buildStates recycles Context.Build's compilation state. The Context is
+// shared by concurrent callers, so the state cannot live on it; the pool
+// keeps steady-state case compilation free of per-case arena churn. A pooled
+// state may last have compiled a different case, or a case of a different
+// Context: BuildDeltaCase diffs from the former and resets on the latter,
+// so the result never depends on which state the pool hands out.
+var buildStates = sync.Pool{New: func() any { return new(DeltaState) }}
 
 // Build compiles the failure of the given controllers (indices into
 // Dep.Controllers) into an Instance, reusing the Context's cached state. It
 // produces exactly the Instance that scenario.Build would, case for case and
 // byte for byte; only the shared precomputation is skipped.
 //
-// Candidate flows are enumerated through the workload's switch→flows CSR
-// index — cost proportional to the traffic actually crossing the failed
-// domains — instead of scanning all L flows per case, which is what makes a
-// sweep case at 10⁶ all-pairs flows affordable.
+// Build is BuildDeltaCase on a pooled DeltaState: candidate flows come from
+// the workload's switch→flows CSR index — cost proportional to the traffic
+// crossing the changed domains — never from a scan of all L flows, which is
+// what makes a case at 10⁶ all-pairs flows affordable.
 func (ctx *Context) Build(failed []int) (*Instance, error) {
-	dep, flows := ctx.Dep, ctx.Flows
-	m := len(dep.Controllers)
-	if len(failed) == 0 {
-		return nil, fmt.Errorf("%w: no failed controllers", ErrBadCase)
-	}
-	if len(failed) >= m {
-		return nil, fmt.Errorf("%w: all %d controllers failed", ErrBadCase, m)
-	}
-	sc := buildPool.Get().(*buildScratch)
-	defer buildPool.Put(sc)
-	isFailed := growBools(&sc.isFailed, m)
-	for _, j := range failed {
-		if j < 0 || j >= m {
-			return nil, fmt.Errorf("%w: controller index %d out of range [0,%d)", ErrBadCase, j, m)
-		}
-		if isFailed[j] {
-			return nil, fmt.Errorf("%w: controller %d listed twice", ErrBadCase, j)
-		}
-		isFailed[j] = true
-	}
-
-	inst := &Instance{Dep: dep, Flows: flows}
-	inst.Failed = make([]int, 0, len(failed))
-	inst.Failed = append(inst.Failed, failed...)
-	sort.Ints(inst.Failed)
-	inst.Active = make([]int, 0, m-len(failed))
-	for j := 0; j < m; j++ {
-		if !isFailed[j] {
-			inst.Active = append(inst.Active, j)
-		}
-	}
-
-	// Offline switches: the failed controllers' domains, ascending.
-	numOffline := 0
-	for _, j := range inst.Failed {
-		numOffline += len(dep.Controllers[j].Domain)
-	}
-	inst.Switches = make([]topo.NodeID, 0, numOffline)
-	for _, j := range inst.Failed {
-		inst.Switches = append(inst.Switches, dep.Controllers[j].Domain...)
-	}
-	sort.Slice(inst.Switches, func(a, b int) bool { return inst.Switches[a] < inst.Switches[b] })
-	// switchIndex[sw] is the problem index of offline switch sw, or -1.
-	switchIndex := growInts(&sc.switchIndex, dep.Graph.NumNodes())
-	for i := range switchIndex {
-		switchIndex[i] = -1
-	}
-	for i, sw := range inst.Switches {
-		switchIndex[sw] = i
-	}
-
-	p := &core.Problem{
-		NumSwitches:    len(inst.Switches),
-		NumControllers: len(inst.Active),
-	}
-	if err := ctx.fillProblemMatrices(inst, p); err != nil {
-		return nil, err
-	}
-
-	// Candidate offline flows: exactly the flows whose path crosses an
-	// offline switch (a flow is offline iff some stop — src included — or
-	// its destination is offline, and all of those are path nodes). The CSR
-	// gather returns them with duplicates; one sort+dedupe restores the
-	// ascending flow order the all-flows scan used to iterate in.
-	raw := flows.AppendFlowsThrough(sc.rawFlows[:0], inst.Switches)
-	sc.rawFlows = raw
-	slices.Sort(raw)
-
-	// Eligible pairs. Pairs are gathered flow-major (flows ascending, and
-	// within a flow in path order) and then bucketed by switch below, which
-	// yields the (Switch, Flow)-sorted order Finalize expects without a
-	// comparison sort.
-	pairs := sc.pairs[:0]
-	inst.FlowIDs = make([]flow.ID, 0, len(raw))
-	for x, lf := range raw {
-		if x > 0 && lf == raw[x-1] {
-			continue
-		}
-		f := &flows.Flows[lf]
-		pairStart := len(pairs)
-		for _, stop := range f.Stops {
-			i := switchIndex[stop.Node]
-			if i < 0 {
-				continue
-			}
-			if stop.Programmable() {
-				pairs = append(pairs, core.Pair{Switch: i, PBar: stop.PBar()})
-			}
-		}
-		if len(pairs) == pairStart {
-			inst.Unrecoverable = append(inst.Unrecoverable, f.ID)
-			continue
-		}
-		flowIdx := len(inst.FlowIDs)
-		inst.FlowIDs = append(inst.FlowIDs, f.ID)
-		for k := pairStart; k < len(pairs); k++ {
-			pairs[k].Flow = flowIdx
-		}
-	}
-	sc.pairs = pairs
-	p.Pairs = sortPairsBySwitch(pairs, p.NumSwitches, &sc.start)
-	p.NumFlows = len(inst.FlowIDs)
-	if p.NumFlows == 0 {
-		return nil, fmt.Errorf("%w: failure case has no recoverable offline flows", ErrBadCase)
-	}
-	if err := p.Finalize(); err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
-	}
-	p.BudgetMs = p.IdealDelayBudget()
-	inst.Problem = p
-
-	ctx.fillMiddleDelay(inst)
-	return inst, nil
+	st := buildStates.Get().(*DeltaState)
+	defer buildStates.Put(st)
+	return ctx.BuildDeltaCase(failed, st)
 }
 
 // fillProblemMatrices populates the Problem's Delay, Gamma, and Rest off the
 // Context's cached vectors for the instance's offline switches and active
 // controllers; it errors when an active controller was already overloaded
-// before the failure. Shared by the scratch (Build) and delta
-// (BuildDeltaCase) compilation paths.
+// before the failure.
 func (ctx *Context) fillProblemMatrices(inst *Instance, p *core.Problem) error {
 	dep, flows := ctx.Dep, ctx.Flows
 	// Delay rows are views into one flat backing array — the Problem keeps
@@ -316,7 +196,7 @@ func growBools(buf *[]bool, n int) []bool {
 // path visits a switch at most once, so stable per-switch bucketing preserves
 // ascending flow order within each switch. The returned slice is freshly
 // allocated (it is retained by the Problem); the counting table lives in the
-// caller's scratch (buildScratch or DeltaState).
+// caller's scratch.
 func sortPairsBySwitch(pairs []core.Pair, numSwitches int, startBuf *[]int) []core.Pair {
 	if len(pairs) == 0 {
 		return nil

@@ -10,15 +10,15 @@ import (
 	"pmedic/internal/topo"
 )
 
-// Delta case compilation: Context.Build recomputes every failure case from
-// the switch→flows CSR index — gather, sort, dedupe, rescan every candidate
-// flow's stops. Consecutive cases in a sweep, however, share almost their
-// whole failure set: in revolving-door order (internal/eval's delta engine)
-// adjacent cases differ by one swapped controller, and a cascade only ever
-// grows its set. BuildDeltaCase exploits that by keeping, per compilation
-// chain, a DeltaState with the current case's candidate flows and their
-// offline programmable stops ("spans"), maintained under controller
-// add/remove diffs:
+// Delta case compilation: compiling a failure case from scratch means a
+// switch→flows CSR gather over every offline switch, a sort and dedupe, and
+// a rescan of every candidate flow's stops. Consecutive cases in a sweep,
+// however, share almost their whole failure set: in revolving-door order
+// (internal/eval's sweep engine) adjacent cases differ by one swapped
+// controller, and a cascade only ever grows its set. BuildDeltaCase exploits
+// that by keeping, per compilation chain, a DeltaState with the current
+// case's candidate flows and their offline programmable stops ("spans"),
+// maintained under controller add/remove diffs:
 //
 //   - count[f] is the number of offline switches on flow f's path. Domains
 //     are disjoint, so failing/restoring a controller adds/subtracts its
@@ -31,9 +31,11 @@ import (
 //     step is over the flows *entering* candidacy, a small subset of the
 //     diff.
 //
-// The assembled Instance is byte-identical to Context.Build's (the property
-// test in delta_test.go holds DeepEqual over randomized swap chains); only
-// the work to get there shrinks from O(case) to O(diff) + O(assembly).
+// The assembled Instance is byte-identical to a scratch compile's (the
+// property test in delta_test.go holds DeepEqual against the scratch oracle
+// in build_oracle_test.go over randomized swap chains); only the work to get
+// there shrinks from O(case) to O(diff) + O(assembly). Context.Build is this
+// same path on a pooled DeltaState, so there is one case compiler.
 
 // DeltaState carries the incremental bookkeeping of one chain of
 // delta-compiled failure cases. The zero value is ready to use; the first
@@ -118,13 +120,14 @@ func (ctx *Context) BuildDelta(prev *Instance, removed, added int, st *DeltaStat
 	return ctx.BuildDeltaCase(next, st)
 }
 
-// BuildDeltaCase compiles the failure of the given controllers exactly like
-// Context.Build — same Instance, same errors — but incrementally against the
-// chain state in st: only the difference between st's current failure set and
-// this one is re-gathered and re-scanned. An unseeded (or Context-switched)
-// st degenerates to a full gather, and a diff that would touch at least as
-// many domains as a scratch compile resets the state first, so a delta chain
-// is never slower than repeated Build calls by more than the assembly floor.
+// BuildDeltaCase compiles the failure of the given controllers (indices into
+// Dep.Controllers) into an Instance incrementally against the chain state in
+// st: only the difference between st's current failure set and this one is
+// re-gathered and re-scanned. An unseeded (or Context-switched) st
+// degenerates to a full gather, and a diff that would touch more domains
+// than the case itself resets the state first, so a chain never costs more
+// than one full gather per case plus the assembly floor. A rejected case
+// leaves st usable for the next one.
 func (ctx *Context) BuildDeltaCase(failed []int, st *DeltaState) (*Instance, error) {
 	dep, flows := ctx.Dep, ctx.Flows
 	m := len(dep.Controllers)
@@ -147,7 +150,7 @@ func (ctx *Context) BuildDeltaCase(failed []int, st *DeltaState) (*Instance, err
 		st.count = st.count[:flows.Len()]
 		st.mark = st.mark[:flows.Len()]
 	}
-	// Validate the raw list with Build's exact checks (and error order).
+	// Validate the raw list; the checks and their order fix the error text.
 	nextMark := growBools(&st.nextMark, m)
 	for _, j := range failed {
 		if j < 0 || j >= m {
@@ -228,7 +231,7 @@ func (ctx *Context) BuildDeltaCase(failed []int, st *DeltaState) (*Instance, err
 		}
 	}
 
-	// Offline switches and their problem indexing, as in Build.
+	// Offline switches, ascending, and their problem indexing.
 	numOffline := 0
 	for _, j := range st.failed {
 		numOffline += len(dep.Controllers[j].Domain)
@@ -303,9 +306,8 @@ func (ctx *Context) BuildDeltaCase(failed []int, st *DeltaState) (*Instance, err
 }
 
 // assemble materializes the Instance for st's current case from the
-// candidate CSR — the output half of Build, shared between the scratch and
-// delta paths via the Context helpers. Everything the Instance retains is
-// freshly allocated; st only contributes reusable scratch.
+// candidate CSR. Everything the Instance retains is freshly allocated; st
+// only contributes reusable scratch.
 func (ctx *Context) assemble(st *DeltaState, switches []topo.NodeID, switchIndex []int) (*Instance, error) {
 	dep, flows := ctx.Dep, ctx.Flows
 	m := len(dep.Controllers)

@@ -9,8 +9,8 @@ import (
 // TestBuildDeltaMatchesBuild is the delta compiler's acceptance gate: over a
 // long randomized chain of failure-set mutations — single swaps, grows,
 // shrinks, and arbitrary jumps — every BuildDeltaCase/BuildDelta result must
-// be DeepEqual to a scratch Context.Build of the same set, field for field,
-// down to the Problem's finalized CSR indexes.
+// be DeepEqual to buildOracle's scratch compile of the same set, field for
+// field, down to the Problem's finalized CSR indexes.
 func TestBuildDeltaMatchesBuild(t *testing.T) {
 	dep, flows := contextFixtures(t)
 	ctx, err := NewContext(dep, flows)
@@ -29,7 +29,7 @@ func TestBuildDeltaMatchesBuild(t *testing.T) {
 
 	check := func(step int, got *Instance, gotErr error, failed []int) *Instance {
 		t.Helper()
-		want, wantErr := ctx.Build(failed)
+		want, wantErr := ctx.buildOracle(failed)
 		if (gotErr == nil) != (wantErr == nil) {
 			t.Fatalf("step %d %v: delta err = %v, scratch err = %v", step, failed, gotErr, wantErr)
 		}
@@ -40,7 +40,7 @@ func TestBuildDeltaMatchesBuild(t *testing.T) {
 			return nil
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("step %d: BuildDeltaCase(%v) differs from Build", step, failed)
+			t.Fatalf("step %d: BuildDeltaCase(%v) differs from buildOracle", step, failed)
 		}
 		return got
 	}
@@ -122,8 +122,8 @@ func replaceOne(set []int, removed, added int) []int {
 	return out
 }
 
-// TestBuildDeltaValidation checks that invalid failure specs surface Build's
-// exact errors without corrupting the chain state: after each rejected case
+// TestBuildDeltaValidation checks that invalid failure specs surface
+// buildOracle's exact errors without corrupting the chain state: after each rejected case
 // the chain still compiles the next valid case correctly.
 func TestBuildDeltaValidation(t *testing.T) {
 	dep, flows := contextFixtures(t)
@@ -144,19 +144,19 @@ func TestBuildDeltaValidation(t *testing.T) {
 	invalid := [][]int{nil, {}, {-1}, {m}, {0, 0}, all}
 	for _, failed := range invalid {
 		_, deltaErr := ctx.BuildDeltaCase(failed, st)
-		_, buildErr := ctx.Build(failed)
+		_, buildErr := ctx.buildOracle(failed)
 		if deltaErr == nil || buildErr == nil {
-			t.Fatalf("BuildDeltaCase(%v): err = %v, Build err = %v; want both non-nil", failed, deltaErr, buildErr)
+			t.Fatalf("BuildDeltaCase(%v): err = %v, oracle err = %v; want both non-nil", failed, deltaErr, buildErr)
 		}
 		if deltaErr.Error() != buildErr.Error() {
-			t.Errorf("BuildDeltaCase(%v) err %q, Build err %q", failed, deltaErr, buildErr)
+			t.Errorf("BuildDeltaCase(%v) err %q, oracle err %q", failed, deltaErr, buildErr)
 		}
 		// The chain survives the rejected case.
 		got, err := ctx.BuildDeltaCase([]int{1, 3}, st)
 		if err != nil {
 			t.Fatalf("after invalid %v: %v", failed, err)
 		}
-		want, err := ctx.Build([]int{1, 3})
+		want, err := ctx.buildOracle([]int{1, 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +186,7 @@ func TestBuildDeltaContextSwitch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ctxB.Build([]int{2, 4})
+	want, err := ctxB.buildOracle([]int{2, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
