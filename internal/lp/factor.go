@@ -3,7 +3,7 @@ package lp
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // factorizer is the basis-inverse representation behind the simplex: either
@@ -164,12 +164,13 @@ func (d *denseFactor) update(s *simplex, p int, alpha []float64) error {
 // --- product-form eta file ---
 
 // eta is one elementary transformation: the matrix that equals the identity
-// except in column p, where it holds diag on the diagonal and vals on rows.
+// except in column p, where it holds diag on the diagonal and, on rows
+// rows[start:end] of the owning etaFactor's arena, the matching vals. Rows
+// are ascending, which fixes the summation order of applyT.
 type eta struct {
-	p    int32
-	diag float64
-	rows []int32
-	vals []float64
+	p          int32
+	diag       float64
+	start, end int32
 }
 
 // etaFactor represents B⁻¹ as a product of elementary matrices
@@ -181,100 +182,179 @@ type eta struct {
 // positions coincide with pivot rows.
 type etaFactor struct {
 	etas []eta
-	// scratch buffers reused across calls.
-	dense []float64
-}
+	// rows/vals is the arena holding every eta's off-diagonal entries; it is
+	// truncated, not freed, by refactorization.
+	rows []int32
+	vals []float64
 
-func (e *etaFactor) scratch(m int) []float64 {
-	if cap(e.dense) < m {
-		e.dense = make([]float64, m)
-	}
-	buf := e.dense[:m]
-	for i := range buf {
-		buf[i] = 0
-	}
-	return buf
+	// Refactorization scratch, reused across calls. work is all zero
+	// between columns; touched lists the rows a column may have made
+	// nonzero (in[r] marks membership), so clearing, the pivot search and
+	// eta construction cost the column's fill, not m.
+	work     []float64
+	touched  []int32
+	in       []bool
+	used     []bool
+	order    []int32
+	count    []int32
+	newBasis []int
 }
 
 // dropTol discards eta entries smaller than this; they cannot influence a
 // pivot decision above the solver tolerances but would accumulate fill.
 const dropTol = 1e-13
 
+// refactorize rebuilds the eta file from s.basis. It computes exactly what a
+// dense elimination does — sparsest column first (ties by position), pivot
+// on the largest remaining |entry| (smallest row on ties), entries below
+// dropTol dropped — and stores each eta's rows in ascending order, so the
+// file is bitwise the one the dense scan builds; it just skips the zeros.
 func (e *etaFactor) refactorize(s *simplex) error {
 	m := s.m
-	e.etas = e.etas[:0]
-	// Process basis columns sparsest-first (deterministic tiebreak on
-	// position) — short columns early keep the partial products sparse.
-	order := make([]int, m)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		va, vb := s.basis[order[a]], s.basis[order[b]]
-		na := s.colPtr[va+1] - s.colPtr[va]
-		nb := s.colPtr[vb+1] - s.colPtr[vb]
-		if na != nb {
-			return na < nb
-		}
-		return order[a] < order[b]
-	})
-	used := make([]bool, m)
-	newBasis := make([]int, m)
-	work := e.scratch(m)
-	for _, pos := range order {
+	e.reset(m)
+	for _, pos := range e.sortByCount(s) {
 		v := s.basis[pos]
-		// work = (E_t ··· E_1) A_v with the etas built so far.
-		for i := range work {
-			work[i] = 0
-		}
 		rows, vals := s.col(v)
+		// work = (E_t ··· E_1) A_v with the etas built so far.
 		for k, r := range rows {
-			work[r] = vals[k]
+			e.work[r] = vals[k]
+			e.touch(r)
 		}
-		e.apply(work)
+		e.applyFile()
 		// Pivot on the largest remaining row (stability; smallest index on
 		// ties for determinism).
-		p := -1
+		p := int32(-1)
 		best := 0.0
-		for r := 0; r < m; r++ {
-			if used[r] {
+		for _, r := range e.touched {
+			if e.used[r] {
 				continue
 			}
-			if a := math.Abs(work[r]); a > best {
+			if a := math.Abs(e.work[r]); a > best || (a == best && a > 0 && r < p) {
 				best, p = a, r
 			}
 		}
 		if p < 0 || best < 1e-11 {
 			return fmt.Errorf("%w: singular basis at position %d", errNumerical, pos)
 		}
-		e.push(p, work)
-		used[p] = true
-		newBasis[p] = v
+		slices.Sort(e.touched)
+		inv := 1 / e.work[p]
+		start := int32(len(e.rows))
+		for _, r := range e.touched {
+			if r != p {
+				e.appendEntry(r, e.work[r], inv)
+			}
+		}
+		e.etas = append(e.etas, eta{p: p, diag: inv, start: start, end: int32(len(e.rows))})
+		e.used[p] = true
+		e.newBasis[p] = v
+		e.clearWork()
 	}
-	copy(s.basis, newBasis)
+	copy(s.basis, e.newBasis)
 	return nil
 }
 
-// push appends the eta eliminating column direction work with pivot row p.
+// reset empties the file and sizes the refactorization scratch for m rows.
+func (e *etaFactor) reset(m int) {
+	e.etas = e.etas[:0]
+	e.rows = e.rows[:0]
+	e.vals = e.vals[:0]
+	e.work = resize(e.work, m)
+	clear(e.work)
+	e.in = resize(e.in, m)
+	clear(e.in)
+	e.used = resize(e.used, m)
+	clear(e.used)
+	e.order = resize(e.order, m)
+	e.count = resize(e.count, m+2)
+	e.newBasis = resize(e.newBasis, m)
+	e.touched = e.touched[:0]
+}
+
+// sortByCount returns the basis positions ordered by their column's entry
+// count, ties by position: a stable counting sort (a column has at most m
+// entries once duplicates are merged).
+func (e *etaFactor) sortByCount(s *simplex) []int32 {
+	count := e.count
+	clear(count)
+	for _, v := range s.basis {
+		count[s.colPtr[v+1]-s.colPtr[v]+1]++
+	}
+	for n := 1; n < len(count); n++ {
+		count[n] += count[n-1]
+	}
+	for pos, v := range s.basis {
+		n := s.colPtr[v+1] - s.colPtr[v]
+		e.order[count[n]] = int32(pos)
+		count[n]++
+	}
+	return e.order
+}
+
+// touch records that row r of work may be nonzero.
+func (e *etaFactor) touch(r int32) {
+	if !e.in[r] {
+		e.in[r] = true
+		e.touched = append(e.touched, r)
+	}
+}
+
+// applyFile applies the file built so far to work, as apply does, and
+// records every row it fills.
+func (e *etaFactor) applyFile() {
+	for t := range e.etas {
+		et := &e.etas[t]
+		xp := e.work[et.p]
+		if xp == 0 {
+			continue
+		}
+		e.work[et.p] = et.diag * xp
+		rows, vals := e.rows[et.start:et.end], e.vals[et.start:et.end]
+		for k, r := range rows {
+			e.touch(r)
+			e.work[r] += vals[k] * xp
+		}
+	}
+}
+
+// clearWork zeroes the touched rows of work and empties the touched list.
+func (e *etaFactor) clearWork() {
+	for _, r := range e.touched {
+		e.work[r] = 0
+		e.in[r] = false
+	}
+	e.touched = e.touched[:0]
+}
+
+// appendEntry adds the eliminating entry -a·inv for row r to the arena,
+// unless it is zero or below dropTol.
+func (e *etaFactor) appendEntry(r int32, a, inv float64) {
+	if a == 0 {
+		return
+	}
+	val := -a * inv
+	if math.Abs(val) < dropTol {
+		return
+	}
+	e.rows = append(e.rows, r)
+	e.vals = append(e.vals, val)
+}
+
+// push appends the eta eliminating the dense column direction work with
+// pivot row p.
 func (e *etaFactor) push(p int, work []float64) {
 	inv := 1 / work[p]
-	et := eta{p: int32(p), diag: inv}
+	start := int32(len(e.rows))
 	for r, a := range work {
-		if r == p || a == 0 {
-			continue
+		if r != p {
+			e.appendEntry(int32(r), a, inv)
 		}
-		val := -a * inv
-		if math.Abs(val) < dropTol {
-			continue
-		}
-		et.rows = append(et.rows, int32(r))
-		et.vals = append(et.vals, val)
 	}
-	e.etas = append(e.etas, et)
+	e.etas = append(e.etas, eta{p: int32(p), diag: inv, start: start, end: int32(len(e.rows))})
 }
 
 // apply multiplies x by the eta product in order: x ← E_k ··· E_1 x.
 func (e *etaFactor) apply(x []float64) {
+	arenaRows, arenaVals := e.rows, e.vals
 	for idx := range e.etas {
 		et := &e.etas[idx]
 		xp := x[et.p]
@@ -282,8 +362,9 @@ func (e *etaFactor) apply(x []float64) {
 			continue
 		}
 		x[et.p] = et.diag * xp
-		for k, r := range et.rows {
-			x[r] += et.vals[k] * xp
+		vals := arenaVals[et.start:et.end]
+		for k, r := range arenaRows[et.start:et.end] {
+			x[r] += vals[k] * xp
 		}
 	}
 }
@@ -292,11 +373,13 @@ func (e *etaFactor) apply(x []float64) {
 // y ← y E_k ··· E_1, processing etas last-to-first. Only component p of y
 // changes per eta.
 func (e *etaFactor) applyT(y []float64) {
+	arenaRows, arenaVals := e.rows, e.vals
 	for idx := len(e.etas) - 1; idx >= 0; idx-- {
 		et := &e.etas[idx]
 		acc := et.diag * y[et.p]
-		for k, r := range et.rows {
-			acc += et.vals[k] * y[r]
+		vals := arenaVals[et.start:et.end]
+		for k, r := range arenaRows[et.start:et.end] {
+			acc += vals[k] * y[r]
 		}
 		y[et.p] = acc
 	}

@@ -53,7 +53,9 @@ type row struct {
 
 // Model is a linear program under construction. Build it with AddVar and
 // AddRow, then call Solve. A Model may be solved repeatedly and mutated
-// between solves (branch & bound relies on SetBounds).
+// between solves (branch & bound relies on SetBounds). It is not safe for
+// concurrent use: solves reuse the model's working storage, so concurrent
+// solvers each take a Clone.
 type Model struct {
 	sense Sense
 	obj   []float64
@@ -61,6 +63,12 @@ type Model struct {
 	upper []float64
 	names []string
 	rows  []row
+
+	// comp is the compiled constraint matrix, built by the first solve or
+	// Clone after the last AddVar/AddRow and shared with clones; ws is this
+	// model's own simplex, reused across its solves.
+	comp *compiled
+	ws   *simplex
 }
 
 // NewModel returns an empty model with the given sense.
@@ -81,6 +89,7 @@ func (m *Model) AddVar(lower, upper, objCoeff float64, name string) int {
 	m.upper = append(m.upper, upper)
 	m.obj = append(m.obj, objCoeff)
 	m.names = append(m.names, name)
+	m.comp = nil
 	return len(m.obj) - 1
 }
 
@@ -134,6 +143,7 @@ func (m *Model) AddRow(op Op, rhs float64, terms ...Term) error {
 	cp := make([]Term, len(terms))
 	copy(cp, terms)
 	m.rows = append(m.rows, row{terms: cp, op: op, rhs: rhs})
+	m.comp = nil
 	return nil
 }
 
@@ -183,7 +193,10 @@ type Solution struct {
 	// StatusOptimal, or when the final basis is not exportable (a redundant
 	// row kept an artificial variable basic).
 	Basis *Basis
-	Iters int
+	// Iters counts simplex iterations (primal and dual-repair pivots, bound
+	// flips included); Refactors counts basis refactorizations.
+	Iters     int
+	Refactors int
 }
 
 // Basis is an opaque snapshot of a simplex basis over the model's expanded
@@ -253,17 +266,34 @@ func (m *Model) SolveWith(opts Options) (*Solution, error) {
 			return nil, fmt.Errorf("lp: var %d (%s): free and lower-unbounded variables are not supported", v, m.names[v])
 		}
 	}
-	s := newSimplex(m, opts)
-	return s.solve(opts.Warm)
+	if m.ws == nil {
+		m.ws = &simplex{}
+	}
+	m.ws.reset(m, m.compiled(), opts)
+	return m.ws.solve(opts.Warm)
+}
+
+// compiled returns the model's computational form, building it if a
+// variable or row was added since it was last built.
+func (m *Model) compiled() *compiled {
+	if m.comp == nil {
+		m.comp = compile(m)
+	}
+	return m.comp
 }
 
 // Clone returns a model sharing this model's immutable structure (rows,
-// objective, names) with independent bounds. It exists so branch & bound
-// workers can tighten bounds concurrently; neither model may gain variables
-// or rows after cloning.
+// objective, names, compiled constraint matrix) with independent bounds and
+// working storage. It exists so branch & bound workers can tighten bounds
+// and solve concurrently; neither model may gain variables or rows after
+// cloning. Clone itself compiles the constraint matrix into m when it is
+// not yet built, so, like a solve, it must not run concurrently with any
+// other use of m; take every clone before the clones start solving.
 func (m *Model) Clone() *Model {
+	m.compiled()
 	cp := *m
 	cp.lower = append([]float64(nil), m.lower...)
 	cp.upper = append([]float64(nil), m.upper...)
+	cp.ws = nil
 	return &cp
 }

@@ -3,7 +3,6 @@ package lp
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // varState tracks where a variable currently sits.
@@ -19,7 +18,8 @@ const (
 // (structural + slack + artificial) variable space. The constraint matrix is
 // stored in compressed-sparse-column (CSC) form; the basis inverse lives
 // behind the factorizer interface (dense explicit inverse for tiny models,
-// product-form eta file with sparse refactorization otherwise).
+// product-form eta file with sparse refactorization otherwise). A Model
+// keeps one simplex and reuses its buffers from solve to solve.
 type simplex struct {
 	opts Options
 
@@ -27,7 +27,9 @@ type simplex struct {
 	n int // structural variables
 
 	// CSC storage for all columns, structural then slack then artificial.
-	// Column v occupies rowIdx/colVal[colPtr[v]:colPtr[v+1]].
+	// Column v occupies rowIdx/colVal[colPtr[v]:colPtr[v+1]]. The structural
+	// and slack part is the model's shared compiled form, capacity-clipped
+	// so that appending artificials copies it instead of writing into it.
 	colPtr []int32
 	rowIdx []int32
 	colVal []float64
@@ -48,10 +50,16 @@ type simplex struct {
 	xB    []float64 // values of basic variables by basis position
 
 	fact         factorizer
+	eta          etaFactor
 	refreshEvery int
 
-	maximize bool
-	iters    int
+	maximize  bool
+	iters     int
+	refactors int
+
+	// Per-solve scratch vectors, each m long.
+	cb, y, alpha, rho, unit, rhs, resid []float64
+	seen                                []bool
 }
 
 func (s *simplex) numCols() int { return len(s.colPtr) - 1 }
@@ -62,67 +70,133 @@ func (s *simplex) col(v int) ([]int32, []float64) {
 	return s.rowIdx[a:b], s.colVal[a:b]
 }
 
-// newSimplex expands the model into computational form.
-func newSimplex(m *Model, opts Options) *simplex {
-	s := &simplex{
-		opts:     opts,
-		m:        len(m.rows),
-		n:        len(m.obj),
-		maximize: m.sense == Maximize,
-	}
+// compiled is a model's computational form: structural then slack columns
+// in CSC, their phase-2 costs, the right-hand sides and each row's slack.
+// It depends only on the model's variables and rows, never on bounds, so
+// it is built once and shared read-only by the model's clones.
+type compiled struct {
+	colPtr   []int32
+	rowIdx   []int32
+	colVal   []float64
+	costP2   []float64
+	b        []float64
+	slackVar []int32
+}
+
+// compile expands the model into computational form.
+func compile(m *Model) *compiled {
+	n, nRows := len(m.obj), len(m.rows)
+	c := &compiled{}
 	// Structural columns in CSC form: count, prefix-sum, fill, then merge
 	// duplicate variable mentions within a row (AddRow permits them).
-	counts := make([]int32, s.n+1)
+	c.colPtr = make([]int32, n+1, n+nRows+1)
 	for _, r := range m.rows {
 		for _, t := range r.terms {
-			counts[t.Var+1]++
+			c.colPtr[t.Var+1]++
 		}
 	}
-	s.colPtr = make([]int32, s.n+1)
-	for v := 0; v < s.n; v++ {
-		s.colPtr[v+1] = s.colPtr[v] + counts[v+1]
+	for v := 0; v < n; v++ {
+		c.colPtr[v+1] += c.colPtr[v]
 	}
-	nnz := s.colPtr[s.n]
-	s.rowIdx = make([]int32, nnz, nnz+int32(2*s.m))
-	s.colVal = make([]float64, nnz, nnz+int32(2*s.m))
-	next := make([]int32, s.n)
-	copy(next, s.colPtr[:s.n])
+	nnz := c.colPtr[n]
+	c.rowIdx = make([]int32, nnz, int(nnz)+nRows)
+	c.colVal = make([]float64, nnz, int(nnz)+nRows)
+	next := make([]int32, n)
+	copy(next, c.colPtr[:n])
 	for i, r := range m.rows {
 		for _, t := range r.terms {
 			k := next[t.Var]
-			s.rowIdx[k] = int32(i)
-			s.colVal[k] = t.Coeff
+			c.rowIdx[k] = int32(i)
+			c.colVal[k] = t.Coeff
 			next[t.Var]++
 		}
 	}
-	s.mergeDuplicates()
+	c.mergeDuplicates(n)
 
-	s.lower = append(make([]float64, 0, s.n+2*s.m), m.lower...)
-	s.upper = append(make([]float64, 0, s.n+2*s.m), m.upper...)
-	s.costP2 = make([]float64, s.n, s.n+2*s.m)
-	for v, c := range m.obj {
-		if s.maximize {
-			s.costP2[v] = -c
+	c.costP2 = make([]float64, n, n+nRows)
+	for v, cost := range m.obj {
+		if m.sense == Maximize {
+			c.costP2[v] = -cost
 		} else {
-			s.costP2[v] = c
+			c.costP2[v] = cost
 		}
 	}
-	s.b = make([]float64, s.m)
+	c.b = make([]float64, nRows)
 	for i, r := range m.rows {
-		s.b[i] = r.rhs
+		c.b[i] = r.rhs
 	}
 	// Slack columns: LE -> +slack in [0, inf); GE -> -slack in [0, inf);
 	// EQ -> none.
-	s.slackVar = make([]int32, s.m)
+	c.slackVar = make([]int32, nRows)
 	for i, r := range m.rows {
+		coeff := 1.0
 		switch r.op {
-		case LE:
-			s.slackVar[i] = int32(s.addCol(i, 1, 0, math.Inf(1), 0))
-		case GE:
-			s.slackVar[i] = int32(s.addCol(i, -1, 0, math.Inf(1), 0))
 		case EQ:
-			s.slackVar[i] = -1
+			c.slackVar[i] = -1
+			continue
+		case GE:
+			coeff = -1
 		}
+		c.slackVar[i] = int32(len(c.colPtr) - 1)
+		c.rowIdx = append(c.rowIdx, int32(i))
+		c.colVal = append(c.colVal, coeff)
+		c.colPtr = append(c.colPtr, int32(len(c.rowIdx)))
+		c.costP2 = append(c.costP2, 0)
+	}
+	return c
+}
+
+// mergeDuplicates sums repeated row entries inside each of the first n CSC
+// columns. The fill visits rows in ascending order, so every column is
+// already sorted by row and a variable's repeats within one row are
+// adjacent, summed in term order.
+func (c *compiled) mergeDuplicates(n int) {
+	write := int32(0)
+	start := int32(0)
+	for v := 0; v < n; v++ {
+		a, b := start, c.colPtr[v+1]
+		start = b
+		c.colPtr[v] = write
+		for k := a; k < b; k++ {
+			if write > c.colPtr[v] && c.rowIdx[write-1] == c.rowIdx[k] {
+				c.colVal[write-1] += c.colVal[k]
+				continue
+			}
+			c.rowIdx[write] = c.rowIdx[k]
+			c.colVal[write] = c.colVal[k]
+			write++
+		}
+	}
+	c.colPtr[n] = write
+	c.rowIdx = c.rowIdx[:write]
+	c.colVal = c.colVal[:write]
+}
+
+// reset prepares s to solve m (whose compiled form is c) from scratch,
+// keeping every buffer from the previous solve.
+func (s *simplex) reset(m *Model, c *compiled, opts Options) {
+	s.opts = opts
+	s.m = len(m.rows)
+	s.n = len(m.obj)
+	s.maximize = m.sense == Maximize
+	s.colPtr = c.colPtr[:len(c.colPtr):len(c.colPtr)]
+	s.rowIdx = c.rowIdx[:len(c.rowIdx):len(c.rowIdx)]
+	s.colVal = c.colVal[:len(c.colVal):len(c.colVal)]
+	s.costP2 = c.costP2[:len(c.costP2):len(c.costP2)]
+	s.b = c.b
+	s.slackVar = c.slackVar
+	nSlack := s.numCols() - s.n
+	s.lower = append(s.lower[:0], m.lower...)
+	s.upper = append(s.upper[:0], m.upper...)
+	for k := 0; k < nSlack; k++ {
+		s.lower = append(s.lower, 0)
+		s.upper = append(s.upper, math.Inf(1))
+	}
+	s.nArt = 0
+	s.iters = 0
+	s.refactors = 0
+	for _, buf := range []*[]float64{&s.cb, &s.y, &s.alpha, &s.rho, &s.unit, &s.rhs, &s.resid} {
+		*buf = resize(*buf, s.m)
 	}
 
 	// Basis-inverse representation: dense explicit inverse for tiny models,
@@ -138,57 +212,24 @@ func newSimplex(m *Model, opts Options) *simplex {
 		s.fact = &denseFactor{}
 		s.refreshEvery = 256
 	} else {
-		s.fact = &etaFactor{}
+		s.fact = &s.eta
 		s.refreshEvery = 96
 	}
-	return s
+}
+
+// resize returns buf with length n, reallocating only when it is too small.
+// The contents are unspecified.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // denseCutoff is the row count below which the dense explicit inverse wins:
 // at this size an O(m^3) refactorization is cheaper than the bookkeeping of
 // the eta file.
 const denseCutoff = 48
-
-// mergeDuplicates sums repeated row entries inside each CSC column, keeping
-// entries sorted by row.
-func (s *simplex) mergeDuplicates() {
-	write := int32(0)
-	newPtr := make([]int32, len(s.colPtr))
-	for v := 0; v < s.n; v++ {
-		a, b := s.colPtr[v], s.colPtr[v+1]
-		newPtr[v] = write
-		if b > a+1 {
-			seg := colSegment{rows: s.rowIdx[a:b], vals: s.colVal[a:b]}
-			sort.Stable(seg)
-		}
-		for k := a; k < b; k++ {
-			if write > newPtr[v] && s.rowIdx[write-1] == s.rowIdx[k] {
-				s.colVal[write-1] += s.colVal[k]
-				continue
-			}
-			s.rowIdx[write] = s.rowIdx[k]
-			s.colVal[write] = s.colVal[k]
-			write++
-		}
-	}
-	newPtr[s.n] = write
-	copy(s.colPtr, newPtr)
-	s.rowIdx = s.rowIdx[:write]
-	s.colVal = s.colVal[:write]
-}
-
-// colSegment sorts one CSC column's entries by row index.
-type colSegment struct {
-	rows []int32
-	vals []float64
-}
-
-func (c colSegment) Len() int           { return len(c.rows) }
-func (c colSegment) Less(i, j int) bool { return c.rows[i] < c.rows[j] }
-func (c colSegment) Swap(i, j int) {
-	c.rows[i], c.rows[j] = c.rows[j], c.rows[i]
-	c.vals[i], c.vals[j] = c.vals[j], c.vals[i]
-}
 
 // addCol appends a single-entry column and returns its index.
 func (s *simplex) addCol(row int, coeff, lo, hi, cost float64) int {
@@ -207,30 +248,32 @@ var errNumerical = errors.New("lp: numerical failure")
 func (s *simplex) solve(warm *Basis) (*Solution, error) {
 	// Place nonbasic variables at their finite lower bound (validated by
 	// SolveWith) and compute each row's residual.
-	resid := make([]float64, s.m)
-	s.residual(resid)
+	s.residual(s.rhs)
 
 	warmStarted := warm != nil && s.tryWarm(warm)
 	if !warmStarted {
-		s.crashBasis(resid)
+		s.crashBasis(s.rhs)
 		if err := s.refactorize(); err != nil {
 			return nil, err
 		}
 		if s.nArt > 0 {
 			// Phase 1.
-			s.costP1 = make([]float64, s.numCols())
-			for v := s.artStart; v < s.numCols(); v++ {
-				s.costP1[v] = 1
+			s.costP1 = resize(s.costP1, s.numCols())
+			for v := range s.costP1 {
+				s.costP1[v] = 0
+				if v >= s.artStart {
+					s.costP1[v] = 1
+				}
 			}
 			status, err := s.iterate(s.costP1)
 			if err != nil {
 				return nil, err
 			}
 			if status == StatusIterLimit {
-				return &Solution{Status: StatusIterLimit, Iters: s.iters}, nil
+				return s.solution(StatusIterLimit), nil
 			}
 			if s.phase1Objective() > s.opts.Tol*float64(1+s.m) {
-				return &Solution{Status: StatusInfeasible, Iters: s.iters}, nil
+				return s.solution(StatusInfeasible), nil
 			}
 			s.lockArtificials()
 		}
@@ -241,7 +284,7 @@ func (s *simplex) solve(warm *Basis) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	sol := &Solution{Status: status, Iters: s.iters}
+	sol := s.solution(status)
 	if status == StatusOptimal || status == StatusIterLimit {
 		sol.X = s.extractX()
 		var obj float64
@@ -258,6 +301,12 @@ func (s *simplex) solve(warm *Basis) (*Solution, error) {
 		sol.Basis = s.exportBasis()
 	}
 	return sol, nil
+}
+
+// solution starts the result of a solve that ended with status, carrying
+// its work counters.
+func (s *simplex) solution(status Status) *Solution {
+	return &Solution{Status: status, Iters: s.iters, Refactors: s.refactors}
 }
 
 // residual fills resid with b - N x_N for all nonbasic variables at their
@@ -283,9 +332,10 @@ func (s *simplex) residual(resid []float64) {
 // residuals it is skipped entirely.
 func (s *simplex) crashBasis(resid []float64) {
 	s.artStart = s.numCols()
-	s.basis = make([]int, s.m)
-	s.xB = make([]float64, s.m)
-	s.state = make([]varState, s.artStart, s.artStart+s.m)
+	s.basis = resize(s.basis, s.m)
+	s.xB = resize(s.xB, s.m)
+	s.state = resize(s.state, s.artStart+s.m)[:s.artStart]
+	clear(s.state)
 	s.nArt = 0
 	for i := 0; i < s.m; i++ {
 		if sv := s.slackVar[i]; sv >= 0 {
@@ -323,13 +373,15 @@ func (s *simplex) tryWarm(warm *Basis) bool {
 	nCols := s.numCols()
 	s.artStart = nCols
 	s.nArt = 0
-	s.state = make([]varState, nCols)
-	seen := make([]bool, nCols)
+	s.state = resize(s.state, nCols)
+	clear(s.state)
+	s.seen = resize(s.seen, nCols)
+	clear(s.seen)
 	for _, v := range warm.vars {
-		if v < 0 || int(v) >= nCols || seen[v] {
+		if v < 0 || int(v) >= nCols || s.seen[v] {
 			return false
 		}
-		seen[v] = true
+		s.seen[v] = true
 		s.state[v] = inBasis
 	}
 	for _, v := range warm.upper {
@@ -338,14 +390,13 @@ func (s *simplex) tryWarm(warm *Basis) bool {
 		}
 		s.state[v] = atUpper
 	}
-	s.basis = make([]int, s.m)
+	s.basis = resize(s.basis, s.m)
 	for i, v := range warm.vars {
 		s.basis[i] = int(v)
 	}
-	s.xB = make([]float64, s.m)
+	s.xB = resize(s.xB, s.m)
 	if err := s.refactorize(); err != nil {
-		// Singular warm basis: reset for the crash path.
-		s.state = nil
+		// Singular warm basis: the crash path starts over.
 		return false
 	}
 	tol := s.opts.Tol * 10
@@ -362,11 +413,7 @@ func (s *simplex) tryWarm(warm *Basis) bool {
 	// Bound changes since the basis was exported (branch & bound tightens
 	// one variable per node) leave it dual-feasible but primal-infeasible:
 	// exactly the case dual simplex repairs in a handful of pivots.
-	if s.dualRepair() {
-		return true
-	}
-	s.state = nil
-	return false
+	return s.dualRepair()
 }
 
 // dualRepair restores primal feasibility of a structurally valid warm basis
@@ -379,11 +426,7 @@ func (s *simplex) tryWarm(warm *Basis) bool {
 func (s *simplex) dualRepair() bool {
 	const pivTol = 1e-9
 	tol := s.opts.Tol
-	cb := make([]float64, s.m)
-	y := make([]float64, s.m)
-	rho := make([]float64, s.m)
-	unit := make([]float64, s.m)
-	alpha := make([]float64, s.m)
+	cb, y, rho, unit, alpha := s.cb, s.y, s.rho, s.unit, s.alpha
 	sinceRefresh := 0
 	maxIter := 2*s.m + 100
 	for iter := 0; iter < maxIter; iter++ {
@@ -417,20 +460,24 @@ func (s *simplex) dualRepair() bool {
 		// its bound, take the one whose reduced cost gives way first.
 		entering := -1
 		best := math.Inf(1)
-		for v := 0; v < s.numCols(); v++ {
-			if s.state[v] == inBasis || s.lower[v] == s.upper[v] {
+		nCols := s.numCols()
+		colPtr, rowIdx, colVal := s.colPtr[:nCols+1], s.rowIdx, s.colVal
+		state, lower, upper := s.state[:nCols], s.lower[:nCols], s.upper[:nCols]
+		for v := 0; v < nCols; v++ {
+			if state[v] == inBasis || lower[v] == upper[v] {
 				continue
 			}
-			rows, vals := s.col(v)
+			a, b := colPtr[v], colPtr[v+1]
+			rows, vals := rowIdx[a:b], colVal[a:b]
 			var w float64
 			for k, rr := range rows {
 				w += rho[rr] * vals[k]
 			}
 			var ok bool
 			if below { // x_B[r] must increase
-				ok = (s.state[v] == atLower && w < -pivTol) || (s.state[v] == atUpper && w > pivTol)
+				ok = (state[v] == atLower && w < -pivTol) || (state[v] == atUpper && w > pivTol)
 			} else { // x_B[r] must decrease
-				ok = (s.state[v] == atLower && w > pivTol) || (s.state[v] == atUpper && w < -pivTol)
+				ok = (state[v] == atLower && w > pivTol) || (state[v] == atUpper && w < -pivTol)
 			}
 			if !ok {
 				continue
@@ -518,6 +565,7 @@ func (s *simplex) exportBasis() *Basis {
 // refactorize rebuilds the basis-inverse representation from s.basis and
 // recomputes the basic values.
 func (s *simplex) refactorize() error {
+	s.refactors++
 	if err := s.fact.refactorize(s); err != nil {
 		return err
 	}
@@ -566,8 +614,7 @@ func (s *simplex) lockArtificials() {
 	for v := s.artStart; v < s.numCols(); v++ {
 		s.upper[v] = 0
 	}
-	alpha := make([]float64, s.m)
-	row := make([]float64, s.m)
+	alpha, row := s.alpha, s.rho
 	pivoted := false
 	for i := 0; i < s.m; i++ {
 		if s.basis[i] < s.artStart {
@@ -611,9 +658,7 @@ func (s *simplex) lockArtificials() {
 
 // iterate runs primal simplex on the given cost vector until optimal.
 func (s *simplex) iterate(cost []float64) (Status, error) {
-	cb := make([]float64, s.m)
-	y := make([]float64, s.m)
-	alpha := make([]float64, s.m)
+	cb, y, alpha := s.cb, s.y, s.alpha
 	sinceRefresh := 0
 	stall := 0
 	prevObj := math.Inf(1)
@@ -630,20 +675,25 @@ func (s *simplex) iterate(cost []float64) (Status, error) {
 		entering := -1
 		var bestScore float64
 		enterDir := 1.0
-		for v := 0; v < s.numCols(); v++ {
-			if s.state[v] == inBasis || s.lower[v] == s.upper[v] {
+		nCols := s.numCols()
+		colPtr, rowIdx, colVal := s.colPtr[:nCols+1], s.rowIdx, s.colVal
+		state, lower, upper := s.state[:nCols], s.lower[:nCols], s.upper[:nCols]
+		tol := s.opts.Tol
+		for v := 0; v < nCols; v++ {
+			if state[v] == inBasis || lower[v] == upper[v] {
 				continue
 			}
 			d := cost[v]
-			rows, vals := s.col(v)
-			for k, r := range rows {
+			a, b := colPtr[v], colPtr[v+1]
+			vals := colVal[a:b]
+			for k, r := range rowIdx[a:b] {
 				d -= y[r] * vals[k]
 			}
 			var score float64
 			var dir float64
-			if s.state[v] == atLower && d < -s.opts.Tol {
+			if state[v] == atLower && d < -tol {
 				score, dir = -d, 1
-			} else if s.state[v] == atUpper && d > s.opts.Tol {
+			} else if state[v] == atUpper && d > tol {
 				score, dir = d, -1
 			} else {
 				continue
@@ -762,7 +812,7 @@ func (s *simplex) iterate(cost []float64) (Status, error) {
 
 // recomputeXB recomputes basic values from nonbasic bounds: x_B = B⁻¹ (b − N x_N).
 func (s *simplex) recomputeXB() {
-	resid := make([]float64, s.m)
+	resid := s.resid
 	copy(resid, s.b)
 	for v := 0; v < s.numCols(); v++ {
 		if s.state[v] == inBasis {

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -248,6 +249,82 @@ func TestWarmStartRandom(t *testing.T) {
 				t.Fatalf("trial %d: warm obj %v vs cold obj %v", trial, warm.Objective, cold.Objective)
 			}
 			checkFeasible(t, m, warm.X, "warm")
+		}
+	}
+}
+
+// TestReusedWorkspaceMatchesFresh: a model compiles its matrix once and
+// reuses one simplex's buffers and eta arena from solve to solve, and its
+// clones share the compiled matrix. Every solve must still be bitwise the
+// solve of a freshly built copy of the model — across bound changes, warm
+// starts, rows added after a solve (which recompile) and clones.
+func TestReusedWorkspaceMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	fresh := func(m *Model) *Model {
+		cp := NewModel(m.sense)
+		for v := range m.obj {
+			cp.AddVar(m.lower[v], m.upper[v], m.obj[v], m.names[v])
+		}
+		for _, r := range m.rows {
+			if err := cp.AddRow(r.op, r.rhs, r.terms...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return cp
+	}
+	same := func(label string, got, want *Solution) {
+		t.Helper()
+		if got.Status != want.Status || got.Iters != want.Iters || got.Refactors != want.Refactors ||
+			math.Float64bits(got.Objective) != math.Float64bits(want.Objective) || len(got.X) != len(want.X) {
+			t.Fatalf("%s: got %v obj %v iters %d refactors %d, fresh %v obj %v iters %d refactors %d", label,
+				got.Status, got.Objective, got.Iters, got.Refactors, want.Status, want.Objective, want.Iters, want.Refactors)
+		}
+		for v := range got.X {
+			if math.Float64bits(got.X[v]) != math.Float64bits(want.X[v]) {
+				t.Fatalf("%s: x[%d] = %v, fresh %v", label, v, got.X[v], want.X[v])
+			}
+		}
+	}
+	for trial := 0; trial < 60; trial++ {
+		nv := 2 + rng.Intn(30)
+		m := randomModel(rng, nv, 1+rng.Intn(70)) // both sides of denseCutoff
+		var warm *Basis
+		for step := 0; step < 5; step++ {
+			switch rng.Intn(3) {
+			case 0:
+				v := rng.Intn(nv)
+				lo, hi, _ := m.Bounds(v)
+				if !math.IsInf(hi, 1) && hi > lo {
+					hi = math.Floor((lo + hi) / 2)
+				}
+				if err := m.SetBounds(v, lo, hi); err != nil {
+					t.Fatal(err)
+				}
+			case 1:
+				v := rng.Intn(nv)
+				if err := m.AddRow(LE, 3+float64(rng.Intn(10)), Term{v, 1}, Term{(v + 1) % nv, 1}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			opts := Options{Warm: warm}
+			got, err := m.SolveWith(opts)
+			want, wantErr := fresh(m).SolveWith(opts)
+			if (err == nil) != (wantErr == nil) {
+				t.Fatalf("trial %d step %d: error %v, fresh %v", trial, step, err, wantErr)
+			}
+			if err != nil {
+				continue
+			}
+			label := fmt.Sprintf("trial %d step %d", trial, step)
+			same(label, got, want)
+			clone, err := m.Clone().SolveWith(opts)
+			if err != nil {
+				t.Fatalf("%s: clone: %v", label, err)
+			}
+			same(label+" clone", clone, want)
+			if got.Basis != nil {
+				warm = got.Basis
+			}
 		}
 	}
 }

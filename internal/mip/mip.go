@@ -123,6 +123,11 @@ type Result struct {
 	Bound float64
 	Gap   float64
 	Nodes int
+	// LPIters and Refactors total the simplex iterations and basis
+	// refactorizations of every node relaxation solved, including nodes the
+	// merge then pruned; like Nodes they are independent of Workers.
+	LPIters   int
+	Refactors int
 	// Runtime is the wall-clock solve time.
 	Runtime time.Duration
 }
@@ -201,6 +206,8 @@ type expansion struct {
 	x         []float64
 	basis     *lp.Basis
 	branchVar int // -1 when the relaxation point is integer feasible
+	iters     int // simplex work counters of the relaxation solve
+	refactors int
 }
 
 // Solve runs branch & bound.
@@ -325,6 +332,8 @@ func (m *Model) Solve(opts Options) (*Result, error) {
 			if ex.err != nil {
 				return nil, fmt.Errorf("mip: node %d relaxation: %w", res.Nodes+1, ex.err)
 			}
+			res.LPIters += ex.iters
+			res.Refactors += ex.refactors
 			// Re-check the bound: an earlier merge this round may have raised
 			// the incumbent past this node.
 			if incumbent != nil && !better(nd.bound, incumbentObj) {
@@ -449,7 +458,7 @@ func (m *Model) expandNode(clone *lp.Model, nd *node, origLo, origHi []float64, 
 	if err != nil {
 		return expansion{err: err}
 	}
-	ex := expansion{status: sol.Status, branchVar: -1}
+	ex := expansion{status: sol.Status, branchVar: -1, iters: sol.Iters, refactors: sol.Refactors}
 	if sol.Status != lp.StatusOptimal {
 		return ex
 	}

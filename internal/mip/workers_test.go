@@ -38,10 +38,12 @@ func buildRandomBinary(rng *rand.Rand, nv int) *Model {
 
 // TestWorkersDeterminism pins the bulk-synchronous search: for the same
 // model and node budget, Workers=1 and Workers=8 must produce the same
-// status, objective, incumbent, node count, and bound. TimeLimit is zero so
-// the node budget is the only stop. Run in CI under -race.
+// status, objective, incumbent, node count, bound, and simplex work
+// counters. TimeLimit is zero so the node budget is the only stop. Run in
+// CI under -race.
 func TestWorkersDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
+	totalIters := 0
 	for trial := 0; trial < 40; trial++ {
 		nv := 6 + rng.Intn(14)
 		m := buildRandomBinary(rng, nv)
@@ -72,6 +74,14 @@ func TestWorkersDeterminism(t *testing.T) {
 		if a.Bound != b.Bound {
 			t.Fatalf("trial %d: bound %v vs %v", trial, a.Bound, b.Bound)
 		}
+		if a.LPIters != b.LPIters || a.Refactors != b.Refactors {
+			t.Fatalf("trial %d: LP iterations %d vs %d, refactorizations %d vs %d",
+				trial, a.LPIters, b.LPIters, a.Refactors, b.Refactors)
+		}
+		if a.Nodes > 0 && a.Refactors == 0 {
+			t.Fatalf("trial %d: %d nodes solved without a refactorization", trial, a.Nodes)
+		}
+		totalIters += a.LPIters
 		if len(a.X) != len(b.X) {
 			t.Fatalf("trial %d: incumbent lengths %d vs %d", trial, len(a.X), len(b.X))
 		}
@@ -80,6 +90,9 @@ func TestWorkersDeterminism(t *testing.T) {
 				t.Fatalf("trial %d: incumbent differs at var %d: %v vs %v", trial, v, a.X[v], b.X[v])
 			}
 		}
+	}
+	if totalIters == 0 {
+		t.Fatal("no simplex iterations counted")
 	}
 }
 
