@@ -112,12 +112,12 @@ func run(dryRun bool) error {
 		fmt.Printf("mastership acquired (role %d, generation %d)\n", role.Role, role.GenerationID)
 	}
 
+	// The flow-mods and the barrier that confirms them leave as one write.
+	batch := make([]openflow.Message, 0, len(mods)+1)
 	for _, m := range mods {
-		if _, err := conn.Send(m); err != nil {
-			return err
-		}
+		batch = append(batch, m)
 	}
-	if _, err := conn.Send(openflow.BarrierRequest{}); err != nil {
+	if _, err := conn.SendBatch(append(batch, openflow.BarrierRequest{})); err != nil {
 		return err
 	}
 	if msg, _, err = conn.Recv(); err != nil {

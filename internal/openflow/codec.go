@@ -22,84 +22,68 @@ const MaxMessageLen = 1<<16 - 1
 
 var byteOrder = binary.BigEndian
 
-// Encode serializes msg under a header carrying xid.
+// Encode serializes msg under a header carrying xid into a fresh buffer.
 func Encode(msg Message, xid uint32) ([]byte, error) {
-	body, err := encodeBody(msg)
-	if err != nil {
-		return nil, err
-	}
-	total := HeaderLen + len(body)
-	if total > MaxMessageLen {
-		return nil, fmt.Errorf("%w: %d bytes", ErrTooLong, total)
-	}
-	buf := make([]byte, total)
-	buf[0] = Version
-	buf[1] = uint8(msg.MsgType())
-	byteOrder.PutUint16(buf[2:4], uint16(total))
-	byteOrder.PutUint32(buf[4:8], xid)
-	copy(buf[HeaderLen:], body)
-	return buf, nil
+	return AppendEncode(nil, msg, xid)
 }
 
-func encodeBody(msg Message) ([]byte, error) {
+// AppendEncode appends the wire form of msg under a header carrying xid to
+// dst and returns the extended slice. On error dst is returned unchanged.
+// Encoding straight into a caller-owned buffer is what lets a Conn frame a
+// whole batch of messages without a per-message allocation.
+func AppendEncode(dst []byte, msg Message, xid uint32) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, Version, uint8(msg.MsgType()), 0, 0, 0, 0, 0, 0)
 	switch m := msg.(type) {
 	case Hello, FeaturesRequest, BarrierRequest, BarrierReply:
-		return nil, nil
 	case Echo:
-		return append([]byte(nil), m.Data...), nil
+		dst = append(dst, m.Data...)
 	case FeaturesReply:
-		b := make([]byte, 10)
-		byteOrder.PutUint64(b[0:8], m.DatapathID)
-		b[8] = m.NumTables
+		hybrid := uint8(0)
 		if m.Hybrid {
-			b[9] = 1
+			hybrid = 1
 		}
-		return b, nil
+		dst = byteOrder.AppendUint64(dst, m.DatapathID)
+		dst = append(dst, m.NumTables, hybrid)
 	case FlowMod:
-		b := make([]byte, 1+2+12+4)
-		b[0] = uint8(m.Command)
-		byteOrder.PutUint16(b[1:3], m.Priority)
-		putMatch(b[3:15], m.Match)
-		byteOrder.PutUint32(b[15:19], m.NextHop)
-		return b, nil
+		dst = append(dst, uint8(m.Command))
+		dst = byteOrder.AppendUint16(dst, m.Priority)
+		dst = appendMatch(dst, m.Match)
+		dst = byteOrder.AppendUint32(dst, m.NextHop)
 	case PacketIn:
-		b := make([]byte, 4+1+12+len(m.Data))
-		byteOrder.PutUint32(b[0:4], m.BufferID)
-		b[4] = uint8(m.Reason)
-		putMatch(b[5:17], m.Match)
-		copy(b[17:], m.Data)
-		return b, nil
+		dst = byteOrder.AppendUint32(dst, m.BufferID)
+		dst = append(dst, uint8(m.Reason))
+		dst = appendMatch(dst, m.Match)
+		dst = append(dst, m.Data...)
 	case PacketOut:
-		b := make([]byte, 4+4+len(m.Data))
-		byteOrder.PutUint32(b[0:4], m.BufferID)
-		byteOrder.PutUint32(b[4:8], m.NextHop)
-		copy(b[8:], m.Data)
-		return b, nil
+		dst = byteOrder.AppendUint32(dst, m.BufferID)
+		dst = byteOrder.AppendUint32(dst, m.NextHop)
+		dst = append(dst, m.Data...)
 	case RoleRequest:
-		return encodeRole(uint32(m.Role), m.GenerationID), nil
+		dst = byteOrder.AppendUint32(dst, uint32(m.Role))
+		dst = byteOrder.AppendUint64(dst, m.GenerationID)
 	case RoleReply:
-		return encodeRole(uint32(m.Role), m.GenerationID), nil
+		dst = byteOrder.AppendUint32(dst, uint32(m.Role))
+		dst = byteOrder.AppendUint64(dst, m.GenerationID)
 	case ErrorMsg:
-		b := make([]byte, 2+len(m.Data))
-		byteOrder.PutUint16(b[0:2], m.Code)
-		copy(b[2:], m.Data)
-		return b, nil
+		dst = byteOrder.AppendUint16(dst, m.Code)
+		dst = append(dst, m.Data...)
 	default:
-		return nil, fmt.Errorf("%w: %T", ErrBadType, msg)
+		return dst[:start], fmt.Errorf("%w: %T", ErrBadType, msg)
 	}
+	total := len(dst) - start
+	if total > MaxMessageLen {
+		return dst[:start], fmt.Errorf("%w: %d bytes", ErrTooLong, total)
+	}
+	byteOrder.PutUint16(dst[start+2:], uint16(total))
+	byteOrder.PutUint32(dst[start+4:], xid)
+	return dst, nil
 }
 
-func encodeRole(role uint32, gen uint64) []byte {
-	b := make([]byte, 12)
-	byteOrder.PutUint32(b[0:4], role)
-	byteOrder.PutUint64(b[4:12], gen)
-	return b
-}
-
-func putMatch(b []byte, m Match) {
-	byteOrder.PutUint32(b[0:4], m.FlowID)
-	byteOrder.PutUint32(b[4:8], m.Src)
-	byteOrder.PutUint32(b[8:12], m.Dst)
+func appendMatch(dst []byte, m Match) []byte {
+	dst = byteOrder.AppendUint32(dst, m.FlowID)
+	dst = byteOrder.AppendUint32(dst, m.Src)
+	return byteOrder.AppendUint32(dst, m.Dst)
 }
 
 func getMatch(b []byte) Match {
@@ -236,23 +220,42 @@ func decodeBody(t MsgType, body []byte) (Message, error) {
 // ReadMessage reads exactly one message from r (blocking until a full
 // message arrives) and returns it with its header.
 func ReadMessage(r io.Reader) (Message, Header, error) {
-	var hb [HeaderLen]byte
-	if _, err := io.ReadFull(r, hb[:]); err != nil {
-		return nil, Header{}, err
+	msg, h, _, err := readMessage(r, nil)
+	return msg, h, err
+}
+
+// readMessage is ReadMessage reading through buf, which it grows as needed
+// and returns for reuse. The decoded message never aliases buf: decodeBody
+// copies every variable-length field.
+func readMessage(r io.Reader, buf []byte) (Message, Header, []byte, error) {
+	if cap(buf) < HeaderLen {
+		// Room for every fixed-size message, so a Conn's buffer rarely
+		// grows past its first allocation.
+		buf = make([]byte, HeaderLen, 512)
 	}
-	h, err := DecodeHeader(hb[:])
+	hb := buf[:HeaderLen]
+	if _, err := io.ReadFull(r, hb); err != nil {
+		return nil, Header{}, buf, err
+	}
+	h, err := DecodeHeader(hb)
 	if err != nil {
-		return nil, Header{}, err
+		return nil, Header{}, buf, err
 	}
-	body := make([]byte, int(h.Length)-HeaderLen)
+	// h.Length is a checked uint16 (>= HeaderLen), so the body is bounded
+	// by MaxMessageLen whatever the peer declares.
+	n := int(h.Length) - HeaderLen
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	body := buf[:n]
 	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, Header{}, fmt.Errorf("%w: %v", ErrTruncated, err)
+		return nil, Header{}, buf, fmt.Errorf("%w: %v", ErrTruncated, err)
 	}
 	msg, err := decodeBody(h.Type, body)
 	if err != nil {
-		return nil, Header{}, err
+		return nil, Header{}, buf, err
 	}
-	return msg, h, nil
+	return msg, h, buf, nil
 }
 
 // WriteMessage encodes msg under xid and writes it to w.

@@ -26,20 +26,29 @@ type deadliner interface {
 	SetWriteDeadline(time.Time) error
 }
 
-// Conn is a control channel over a byte stream: buffered framing, an XID
-// counter, per-operation deadlines, and the opening Hello handshake. Reads
-// and writes may proceed concurrently from one goroutine each; Send may
-// additionally be called from multiple goroutines.
+// Conn is a control channel over a byte stream: framing, an XID counter,
+// per-operation deadlines, and the opening Hello handshake. Reads and writes
+// may proceed concurrently from one goroutine each; Send, SendXID and
+// SendBatch may additionally be called from multiple goroutines.
+//
+// Every send encodes into one per-Conn buffer and hands it to the transport
+// as a single Write, so a send allocates nothing once the buffer has grown.
+// Send and SendXID write one message; SendBatch writes many — say, a switch's
+// flow-mods and the barrier that confirms them — as one Write. Recv decodes
+// from a per-Conn read buffer; decoded messages copy their variable-length
+// fields, so they stay valid after the next Recv.
 //
 // A Conn whose Recv fails with a timeout may have consumed part of a frame
 // and is no longer usable for further traffic; close and redial.
 type Conn struct {
-	raw io.Closer
-	dl  deadliner // nil when the transport has no deadline support
-	r   *bufio.Reader
+	raw  io.Closer
+	dl   deadliner // nil when the transport has no deadline support
+	r    *bufio.Reader
+	rbuf []byte // Recv's frame buffer; owned by the reading goroutine
 
-	wmu sync.Mutex
-	w   *bufio.Writer
+	wmu  sync.Mutex
+	w    io.Writer
+	wbuf []byte // encoded frames of the send in progress; guarded by wmu
 
 	xid     atomic.Uint32
 	timeout atomic.Int64 // per-operation deadline, ns; 0 = none
@@ -53,7 +62,7 @@ func NewConn(rwc io.ReadWriteCloser) *Conn {
 	c := &Conn{
 		raw: rwc,
 		r:   bufio.NewReader(rwc),
-		w:   bufio.NewWriter(rwc),
+		w:   rwc,
 	}
 	if dl, ok := rwc.(deadliner); ok {
 		c.dl = dl
@@ -126,19 +135,43 @@ func (c *Conn) Send(msg Message) (uint32, error) {
 // SendXID writes one message under the caller's XID (for replies, which must
 // echo the request's XID).
 func (c *Conn) SendXID(msg Message, xid uint32) error {
-	buf, err := Encode(msg, xid)
-	if err != nil {
-		return err
-	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
+	var err error
+	if c.wbuf, err = AppendEncode(c.wbuf[:0], msg, xid); err != nil {
+		return err
+	}
+	return c.flush()
+}
+
+// SendBatch writes msgs, each under a fresh XID, as one transport Write and
+// returns the last XID used. The peer sees the messages in order, exactly as
+// from consecutive Sends; ending a batch with a BarrierRequest and waiting
+// for RecvXID(lastXID) confirms all of them in one round trip. The armed
+// per-operation deadline bounds the whole write. An encoding error fails the
+// batch before any byte is written; a transport error may leave any byte
+// prefix of the batch delivered.
+func (c *Conn) SendBatch(msgs []Message) (lastXID uint32, err error) {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.wbuf = c.wbuf[:0]
+	for _, msg := range msgs {
+		lastXID = c.xid.Add(1)
+		if c.wbuf, err = AppendEncode(c.wbuf, msg, lastXID); err != nil {
+			return 0, err
+		}
+	}
+	return lastXID, c.flush()
+}
+
+// flush writes the encoded buffer under the armed write deadline. The
+// caller holds wmu.
+func (c *Conn) flush() error {
 	if err := c.armWrite(); err != nil {
 		return err
 	}
-	if _, err := c.w.Write(buf); err != nil {
-		return err
-	}
-	return c.w.Flush()
+	_, err := c.w.Write(c.wbuf)
+	return err
 }
 
 // Recv blocks for the next message, honoring the armed per-operation
@@ -147,7 +180,9 @@ func (c *Conn) Recv() (Message, Header, error) {
 	if err := c.armRead(); err != nil {
 		return nil, Header{}, err
 	}
-	return ReadMessage(c.r)
+	msg, h, buf, err := readMessage(c.r, c.rbuf)
+	c.rbuf = buf
+	return msg, h, err
 }
 
 // RecvXID reads messages until one carrying xid arrives. Along the way it

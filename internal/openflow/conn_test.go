@@ -1,9 +1,11 @@
 package openflow
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -339,5 +341,113 @@ func TestHandshakeRejectsNonHello(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("handshake did not finish")
+	}
+}
+
+// memStream is an in-memory transport: reads drain in, and every Write is
+// recorded as one frame group in writes.
+type memStream struct {
+	in     bytes.Buffer
+	writes [][]byte
+}
+
+func (m *memStream) Read(p []byte) (int, error) { return m.in.Read(p) }
+func (m *memStream) Write(p []byte) (int, error) {
+	m.writes = append(m.writes, append([]byte(nil), p...))
+	return len(p), nil
+}
+func (m *memStream) Close() error { return nil }
+
+type bogusMsg struct{}
+
+func (bogusMsg) MsgType() MsgType { return 0xEE }
+
+func TestSendBatchIsOneWrite(t *testing.T) {
+	tr := &memStream{}
+	c := NewConn(tr)
+	first, err := c.Send(Hello{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := []Message{
+		FlowMod{Command: FlowAdd, Priority: 100, Match: Match{FlowID: 1, Src: 2, Dst: 3}, NextHop: 4},
+		FlowMod{Command: FlowDelete, Match: Match{FlowID: 5}},
+		Echo{Data: []byte("in-batch")},
+		BarrierRequest{},
+	}
+	last, err := c.SendBatch(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.writes) != 2 {
+		t.Fatalf("Send + SendBatch made %d writes, want 2", len(tr.writes))
+	}
+	if last != first+uint32(len(batch)) {
+		t.Fatalf("last xid %d, want %d", last, first+uint32(len(batch)))
+	}
+	stream := bytes.NewReader(tr.writes[1])
+	for i, want := range batch {
+		got, h, err := ReadMessage(stream)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if h.XID != first+uint32(i)+1 {
+			t.Fatalf("frame %d xid %d, want %d", i, h.XID, first+uint32(i)+1)
+		}
+		if !reflect.DeepEqual(normalize(got), normalize(want)) {
+			t.Fatalf("frame %d: got %#v, want %#v", i, got, want)
+		}
+	}
+	if stream.Len() != 0 {
+		t.Fatalf("%d trailing bytes after the batch", stream.Len())
+	}
+
+	// An unencodable message fails the whole batch before any byte leaves,
+	// and the buffer it left behind does not leak into the next send.
+	if _, err := c.SendBatch([]Message{BarrierRequest{}, bogusMsg{}}); !errors.Is(err, ErrBadType) {
+		t.Fatalf("error = %v, want ErrBadType", err)
+	}
+	if len(tr.writes) != 2 {
+		t.Fatalf("failed batch wrote %d times", len(tr.writes)-2)
+	}
+	xid, err := c.Send(BarrierReply{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, h, err := Decode(tr.writes[2])
+	if err != nil || h.XID != xid || int(h.Length) != len(tr.writes[2]) || got.MsgType() != TypeBarrierReply {
+		t.Fatalf("send after failed batch: %#v %+v %v (%d bytes)", got, h, err, len(tr.writes[2]))
+	}
+}
+
+func TestRecvResultsOutliveTheReadBuffer(t *testing.T) {
+	tr := &memStream{}
+	want := []Message{
+		Echo{Data: []byte("first")},
+		PacketIn{BufferID: 1, Reason: ReasonNoMatch, Match: Match{FlowID: 2}, Data: []byte("second, longer")},
+		Echo{Reply: true, Data: []byte("3rd")},
+		ErrorMsg{Code: 9, Data: []byte("fourth")},
+		PacketOut{BufferID: 5, NextHop: 6, Data: []byte("fifth")},
+	}
+	for i, m := range want {
+		if err := WriteMessage(&tr.in, m, uint32(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := NewConn(tr)
+	var got []Message
+	for range want {
+		msg, _, err := c.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, msg)
+	}
+	// Every earlier message must be intact after the later reads reused the
+	// Conn's buffer.
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("message %d after later reads: %#v, want %#v", i, got[i], want[i])
+		}
 	}
 }

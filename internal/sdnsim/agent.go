@@ -6,10 +6,8 @@ import (
 	"fmt"
 	"sync"
 
-	"pmedic/internal/core"
 	"pmedic/internal/flow"
 	"pmedic/internal/openflow"
-	"pmedic/internal/scenario"
 	"pmedic/internal/topo"
 )
 
@@ -198,41 +196,4 @@ func AgentAddrs(agents map[topo.NodeID]*Agent) map[topo.NodeID]string {
 		addrs[id] = a.Addr()
 	}
 	return addrs
-}
-
-// PushRecovery delivers a switch-mapping recovery over the wire: for every
-// offline switch with an agent, it dials the agent, claims mastership, sends
-// FlowDelete for pairs left in legacy mode and FlowAdd for SDN-mode pairs
-// (re-asserting the flow's current next hop), and synchronizes with a
-// barrier. Replies are matched by XID, so interleaved Echo traffic is
-// tolerated, and every dial and I/O operation is bounded by the default
-// timeouts. It returns the number of flow-mods acknowledged.
-//
-// PushRecovery is the strict, fail-fast driver: the first switch that cannot
-// be reconfigured aborts the push. PushRecoveryResilient is the
-// partial-failure-tolerant driver.
-func PushRecovery(
-	agents map[topo.NodeID]*Agent,
-	flows *flow.Set,
-	inst *scenario.Instance,
-	sol *core.Solution,
-) (int, error) {
-	plan, err := buildPushPlan(flows, inst, sol)
-	if err != nil {
-		return 0, err
-	}
-	sent := 0
-	for _, sp := range plan {
-		agent, ok := agents[sp.sw]
-		if !ok {
-			return sent, fmt.Errorf("%w: %d", ErrAgentMissing, sp.sw)
-		}
-		acked, _, err := pushOnce(defaultDial, agent.Addr(), 1, sp.mods,
-			openflow.DefaultDialTimeout, openflow.DefaultDialTimeout)
-		sent += acked
-		if err != nil {
-			return sent, err
-		}
-	}
-	return sent, nil
 }

@@ -184,12 +184,20 @@ func TestPushRecoveryOverTheWire(t *testing.T) {
 		}
 	}()
 
-	sent, err := PushRecovery(agents, flows, inst, sol)
+	plan, err := buildPushPlan(flows, inst, sol)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sent == 0 {
-		t.Fatal("nothing sent")
+	planned := 0
+	for _, sp := range plan {
+		planned += len(sp.mods)
+	}
+	rep, err := PushRecoveryResilient(AgentAddrs(agents), flows, inst, sol, PushOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if planned == 0 || rep.FlowModsAcked != planned {
+		t.Fatalf("acked %d flow-mods, planned %d", rep.FlowModsAcked, planned)
 	}
 	// Wire effect must match the analytic solution: SDN pairs have entries,
 	// legacy pairs do not.
@@ -232,8 +240,19 @@ func TestPushRecoveryMissingAgent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = PushRecovery(map[topo.NodeID]*Agent{}, flows, inst, sol)
-	if !errors.Is(err, ErrAgentMissing) {
-		t.Fatalf("error = %v, want ErrAgentMissing", err)
+	rep, err := PushRecoveryResilient(map[topo.NodeID]string{}, flows, inst, sol, PushOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Demoted) == 0 {
+		t.Fatal("no switch demoted without agents")
+	}
+	for _, out := range rep.Outcomes {
+		if out.Status == PushDemoted && !errors.Is(out.Err, ErrAgentMissing) {
+			t.Fatalf("switch %d: error = %v, want ErrAgentMissing", out.Switch, out.Err)
+		}
+		if out.Status == PushApplied {
+			t.Fatalf("switch %d applied without an agent", out.Switch)
+		}
 	}
 }

@@ -228,9 +228,12 @@ func deleteMod(f *flow.Flow) openflow.FlowMod {
 }
 
 // pushOnce performs one complete push attempt against addr: dial, liveness
-// probe, mastership under gen, all mods, then a barrier. acked is len(mods)
-// on full success; sentAny reports whether any flow-mod left on a connection
-// whose barrier never confirmed it (the partial-state marker).
+// probe, mastership under gen, then all mods and a barrier as one write.
+// The role claim stays its own round trip: an agent applies a FlowMod
+// whatever the sender's role, so fencing is the driver's job, and no mod may
+// leave before the RoleReply confirms the claim. acked is len(mods) on full
+// success; sentAny reports whether any flow-mod left on a connection whose
+// barrier never confirmed it (the partial-state marker).
 func pushOnce(dial DialFunc, addr string, gen uint64, mods []openflow.FlowMod, dialTO, ioTO time.Duration) (acked int, sentAny bool, err error) {
 	conn, err := dial(addr, dialTO)
 	if err != nil {
@@ -248,13 +251,17 @@ func pushOnce(dial DialFunc, addr string, gen uint64, mods []openflow.FlowMod, d
 	if _, ok := msg.(openflow.RoleReply); !ok {
 		return 0, false, fmt.Errorf("sdnsim: push %s: unexpected %v to role request", addr, msg.MsgType())
 	}
+	batch := make([]openflow.Message, 0, len(mods)+1)
 	for _, m := range mods {
-		if _, err := conn.Send(m); err != nil {
-			return 0, true, err
-		}
-		sentAny = true
+		batch = append(batch, m)
 	}
-	msg, _, err = conn.Request(openflow.BarrierRequest{})
+	batch = append(batch, openflow.BarrierRequest{})
+	sentAny = len(mods) > 0
+	barrier, err := conn.SendBatch(batch)
+	if err != nil {
+		return 0, sentAny, err
+	}
+	msg, _, err = conn.RecvXID(barrier)
 	if err != nil {
 		return 0, sentAny, err
 	}

@@ -2,6 +2,9 @@ package sdnsim
 
 import (
 	"errors"
+	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,7 +25,7 @@ type pushFixture struct {
 	agents map[topo.NodeID]*Agent
 }
 
-func newPushFixture(t *testing.T, failed []int) *pushFixture {
+func newPushFixture(t testing.TB, failed []int) *pushFixture {
 	t.Helper()
 	dep, err := topo.ATT()
 	if err != nil {
@@ -455,4 +458,181 @@ func TestResidualReplanFreesCapacity(t *testing.T) {
 	if _, err := inst.Evaluate(next); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// writeCountConn counts the transport Writes of one control channel.
+type writeCountConn struct {
+	net.Conn
+	writes atomic.Int32
+}
+
+func (c *writeCountConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// handshakeDial returns a DialFunc that dials TCP, lets wrap replace the
+// transport, and performs the Hello handshake over it.
+func handshakeDial(wrap func(addr string, nc net.Conn) net.Conn) DialFunc {
+	return func(addr string, timeout time.Duration) (*openflow.Conn, error) {
+		nc, err := net.DialTimeout("tcp", addr, timeout)
+		if err != nil {
+			return nil, err
+		}
+		c := openflow.NewConn(wrap(addr, nc))
+		c.SetIOTimeout(timeout)
+		if err := c.Handshake(); err != nil {
+			_ = nc.Close()
+			return nil, err
+		}
+		c.SetIOTimeout(0)
+		return c, nil
+	}
+}
+
+func TestResilientPushConstantWritesPerAttempt(t *testing.T) {
+	// hello, ping, role claim, then one write of every flow-mod plus the
+	// barrier: the count does not grow with the switch's mod count.
+	const writesPerAttempt = 4
+	fx := newPushFixture(t, []int{0, 2, 4})
+	var (
+		mu    sync.Mutex
+		conns []*writeCountConn
+	)
+	dial := handshakeDial(func(_ string, nc net.Conn) net.Conn {
+		c := &writeCountConn{Conn: nc}
+		mu.Lock()
+		conns = append(conns, c)
+		mu.Unlock()
+		return c
+	})
+	rep, err := PushRecoveryResilient(AgentAddrs(fx.agents), fx.inst.Flows, fx.inst, fx.sol, PushOptions{Seed: 1, Dial: dial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	modCounts := map[int]bool{}
+	attempts := 0
+	for _, out := range rep.Outcomes {
+		if out.Status == PushApplied {
+			modCounts[out.FlowModsAcked] = true
+			attempts += out.Attempts
+		}
+	}
+	if len(modCounts) < 2 {
+		t.Fatalf("fixture pushed %d distinct mod counts; need several to show the write count is constant", len(modCounts))
+	}
+	checkTablesMatch(t, fx, rep.Final)
+	restore, err := RestoreIdeal(AgentAddrs(fx.agents), fx.inst.Flows, fx.inst.Switches, PushOptions{Seed: 1, Dial: dial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(restore.Failed) != 0 {
+		t.Fatalf("restore failed on %v", restore.Failed)
+	}
+	for _, out := range restore.Outcomes {
+		attempts += out.Attempts
+	}
+	if len(conns) != attempts {
+		t.Fatalf("%d channels dialed for %d attempts", len(conns), attempts)
+	}
+	for i, c := range conns {
+		if n := c.writes.Load(); n != writesPerAttempt {
+			t.Fatalf("channel %d made %d writes, want %d", i, n, writesPerAttempt)
+		}
+	}
+}
+
+// cutBatchConn delivers only a byte prefix of the channel's batch write (its
+// 4th Write) that ends inside a flow-mod frame, then resets the connection.
+type cutBatchConn struct {
+	net.Conn
+	writes int
+	cut    *int // whole flow-mods delivered ahead of the cut, -1 until cut
+}
+
+func (c *cutBatchConn) Write(p []byte) (int, error) {
+	const modFrame = openflow.HeaderLen + 19
+	c.writes++
+	if c.writes != 4 || len(p) < 2*modFrame {
+		return c.Conn.Write(p)
+	}
+	whole := len(p) / modFrame / 2
+	if _, err := c.Conn.Write(p[:whole*modFrame+modFrame/2]); err != nil {
+		return 0, err
+	}
+	*c.cut = whole
+	_ = c.Conn.Close()
+	return 0, errors.New("test: connection reset inside the batch")
+}
+
+func TestResilientPushResetInsideBatch(t *testing.T) {
+	fx := newPushFixture(t, []int{3})
+	plan, err := buildPushPlan(fx.inst.Flows, fx.inst, fx.sol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var victim switchPush
+	for _, sp := range plan {
+		if len(sp.mods) > len(victim.mods) {
+			victim = sp
+		}
+	}
+	if len(victim.mods) < 2 {
+		t.Fatal("fixture has no switch with several flow-mods")
+	}
+	// One attempt cut inside the batch: the agent applies the whole
+	// flow-mods ahead of the cut and nothing after it, and the attempt
+	// reports the partial state.
+	agent := fx.agents[victim.sw]
+	before := agent.FlowModsApplied()
+	delivered := -1
+	cutDial := handshakeDial(func(_ string, nc net.Conn) net.Conn {
+		return &cutBatchConn{Conn: nc, cut: &delivered}
+	})
+	acked, sentAny, err := pushOnce(cutDial, agent.Addr(), 1, victim.mods, time.Second, time.Second)
+	if err == nil || acked != 0 || !sentAny {
+		t.Fatalf("cut attempt: acked=%d sentAny=%v err=%v, want a dirty failure", acked, sentAny, err)
+	}
+	if delivered <= 0 || delivered >= len(victim.mods) {
+		t.Fatalf("cut delivered %d of %d flow-mods", delivered, len(victim.mods))
+	}
+	for deadline := time.Now().Add(5 * time.Second); agent.FlowModsApplied()-before != delivered; {
+		if time.Now().After(deadline) {
+			t.Fatalf("agent applied %d flow-mods, the cut delivered %d whole", agent.FlowModsApplied()-before, delivered)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// Every switch's first attempt is cut the same way; the retries still
+	// converge on the plan.
+	var (
+		mu  sync.Mutex
+		cut = map[string]bool{}
+	)
+	dial := handshakeDial(func(addr string, nc net.Conn) net.Conn {
+		mu.Lock()
+		defer mu.Unlock()
+		if cut[addr] {
+			return nc
+		}
+		cut[addr] = true
+		n := -1
+		return &cutBatchConn{Conn: nc, cut: &n}
+	})
+	rep, err := PushRecoveryResilient(AgentAddrs(fx.agents), fx.inst.Flows, fx.inst, fx.sol, PushOptions{
+		Seed:        1,
+		Dial:        dial,
+		BaseBackoff: time.Millisecond,
+		MaxBackoff:  2 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Demoted) != 0 || rep.Rounds != 1 {
+		t.Fatalf("demoted=%v rounds=%d", rep.Demoted, rep.Rounds)
+	}
+	if out := rep.Outcomes[victim.index]; out.Status != PushApplied || out.Attempts != 2 || out.Dirty {
+		t.Fatalf("victim outcome after retry = %+v", out)
+	}
+	checkTablesMatch(t, fx, rep.Final)
 }

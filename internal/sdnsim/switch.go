@@ -114,21 +114,24 @@ func NewSwitch(id topo.NodeID, legacy *ospf.Table) *Switch {
 	return &Switch{ID: id, Pipeline: PipelineHybrid, Controller: -1, legacy: legacy}
 }
 
-// InstallEntry adds or replaces the entry for a flow at a priority.
+// InstallEntry adds or replaces the entry for a flow at a priority. A
+// binary search finds the entry's slot in the (Priority desc, FlowID asc)
+// order, so an add costs one O(n) copy instead of a sort.
 func (s *Switch) InstallEntry(e FlowEntry) {
-	for i := range s.entries {
-		if s.entries[i].FlowID == e.FlowID && s.entries[i].Priority == e.Priority {
-			s.entries[i] = e
-			return
+	i := sort.Search(len(s.entries), func(i int) bool {
+		x := s.entries[i]
+		if x.Priority != e.Priority {
+			return x.Priority < e.Priority
 		}
-	}
-	s.entries = append(s.entries, e)
-	sort.SliceStable(s.entries, func(a, b int) bool {
-		if s.entries[a].Priority != s.entries[b].Priority {
-			return s.entries[a].Priority > s.entries[b].Priority
-		}
-		return s.entries[a].FlowID < s.entries[b].FlowID
+		return x.FlowID >= e.FlowID
 	})
+	if i < len(s.entries) && s.entries[i].FlowID == e.FlowID && s.entries[i].Priority == e.Priority {
+		s.entries[i] = e
+		return
+	}
+	s.entries = append(s.entries, FlowEntry{})
+	copy(s.entries[i+1:], s.entries[i:])
+	s.entries[i] = e
 }
 
 // RemoveEntry deletes all entries for a flow; it reports whether any existed.
